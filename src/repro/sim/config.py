@@ -165,31 +165,6 @@ class SystemConfig:
         )
 
     @classmethod
-    def soc_256core(cls) -> "SystemConfig":
-        """Scale-out stress machine: 256 cores, 16x16 mesh, 32 channels.
-
-        The headline workload for the sharded runner (DESIGN.md §11): a
-        machine big enough that one engine's event loop is the
-        bottleneck.  ``noc_base_cycles`` is raised to 16 so the
-        conservative lookahead window (the minimum tile<->MC latency)
-        spans at least 16 cycles — fewer barriers per epoch, which is
-        where sharded wall-clock wins come from.  Caches stay small so
-        traffic is memory-bound: most simulated work lands on the
-        target shards.
-        """
-        return cls(
-            cores=256,
-            mesh_cols=16,
-            mesh_rows=16,
-            num_mcs=32,
-            l2_size_kb=64,
-            l3_slice_kb=128,
-            noc_base_cycles=16,
-            frontend_read_queue=48,
-            epoch_cycles=2000,
-        )
-
-    @classmethod
     def small_test(cls) -> "SystemConfig":
         """Tiny machine for fast unit tests."""
         return cls(

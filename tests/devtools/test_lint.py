@@ -273,17 +273,18 @@ class TestPerf004ProcessParallelismConfinement:
 
     def test_runner_modules_are_allowed(self):
         assert codes(
-            "import multiprocessing\n", "src/repro/runner/shardpool.py"
+            "import multiprocessing\n", "src/repro/runner/worker.py"
         ) == []
         assert codes(
             "from concurrent.futures import ProcessPoolExecutor\n",
             "src/repro/runner/pool.py",
         ) == []
 
-    def test_shard_module_is_allowed(self):
-        assert codes(
-            "import multiprocessing\n", "src/repro/sim/shard.py"
-        ) == []
+    def test_no_sim_module_is_allowed(self):
+        for name in ("engine.py", "system.py", "partition.py", "window.py"):
+            assert codes(
+                "import multiprocessing\n", f"src/repro/sim/{name}"
+            ) == ["PERF004"], name
 
     def test_tests_are_out_of_scope(self):
         assert codes("import multiprocessing\n", TEST_PATH) == []

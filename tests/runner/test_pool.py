@@ -1,8 +1,16 @@
 """Tests for the sweep pool: caching, isolation, and parallel dispatch."""
 
+import multiprocessing
+import os
+import signal
+
+import pytest
+
 from repro.runner.cache import ResultCache
+from repro.runner.fingerprint import source_fingerprint
 from repro.runner.pool import run_specs
 from repro.runner.spec import RunSpec, specs_for_figure
+from repro.runner.worker import execute_spec, figure_module
 
 
 class TestSequentialSweep:
@@ -121,3 +129,49 @@ class TestParallelSweep:
         assert any(not o.ok and "timeout" in o.error for o in outcomes)
         # timed-out cells are never cached
         assert len(cache) <= sum(1 for o in outcomes if o.ok)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="the patched figure reaches pool workers only through fork",
+    )
+    def test_killed_worker_falls_back_to_in_process_runs(
+        self, tmp_path, monkeypatch
+    ):
+        """A SIGKILLed worker breaks the pool; every cell still finishes.
+
+        The patched figure kills any process but this one, so both pool
+        workers die on their first cell and the pool's BrokenProcessPool
+        fallback must run every spec sequentially in this process.
+        """
+        parent = os.getpid()
+        # resolved through the runner's registry, as the workers resolve it
+        module = figure_module("fig05")
+        real_run = module.run
+
+        def run_or_die(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(module, "run", run_or_die)
+        specs = [
+            RunSpec(
+                figure="fig05",
+                cell={"measure_epochs": length},
+                overrides={"epoch_cycles": 400},
+            )
+            for length in (4, 6)
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        messages = []
+        outcomes = run_specs(specs, workers=2, cache=cache, progress=messages.append)
+
+        assert any("pool broke" in message for message in messages)
+        assert [o.ok for o in outcomes] == [True, True]
+        assert len(cache) == len(specs)
+        fingerprint = source_fingerprint()
+        for spec in specs:
+            cached = cache.load(spec.spec_hash(), fingerprint)
+            cold = execute_spec(spec)
+            assert cached["report"] == cold["report"]
+            assert cached["events"] == cold["events"]

@@ -29,7 +29,7 @@ class TestParser:
     def test_registry_covers_every_figure(self):
         assert set(EXPERIMENTS) == {
             "fig01", "fig05", "fig06", "fig07", "fig08",
-            "fig09", "fig10", "fig11", "fig12", "soc256",
+            "fig09", "fig10", "fig11", "fig12",
             "arena",
         }
 
