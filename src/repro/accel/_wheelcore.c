@@ -1,6 +1,6 @@
 /* _wheelcore.c — compiled dispatch core for the repro timing wheel.
  *
- * This extension reimplements the two hot-kernel dispatch loops of
+ * This extension reimplements the two hot dispatch loops of
  * repro.sim.engine.TimingWheel (run_until, run) plus the memory
  * controller's bank-ready/row-hit scan, behind a base type the Python
  * backend classes subclass.  It is a *mirror*, not a redesign: every
@@ -3768,7 +3768,7 @@ kind_decline(WheelCore *self, PyObject *owner, PyObject *cb, PyObject *args)
 }
 
 typedef struct {
-    const char *name;        /* kind tag, as in the NATIVE_KERNELS manifest */
+    const char *name;        /* kind tag, as in native.kind_table()         */
     int engine_is_private;   /* owner's engine attr: "_engine" vs "engine"  */
     native_handler handler;
     PyObject *func;          /* the registered plain function object        */

@@ -47,19 +47,15 @@ _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 def source_fingerprint() -> str:
     """Digest pinning the C source and the interpreter ABI (16 hex chars).
 
-    The native-kind manifest digest rides along so a manifest change
-    (new mirrored kind, renamed tag) invalidates cached builds whose
-    registered table would no longer match the install handshake.
+    The Python side of the native-kind table is bound at every load, so
+    it is not part of the artifact's identity.
     """
-    from repro.accel import native
-
     payload = "|".join(
         (
             hashlib.sha256(SOURCE_PATH.read_bytes()).hexdigest(),
             "cpython-{}.{}.{}".format(*sys.version_info[:3]),
             sysconfig.get_platform(),
             _EXT_SUFFIX,
-            native.manifest_digest(),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

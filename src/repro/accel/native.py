@@ -2,66 +2,37 @@
 
 The C extension executes a closed set of hot callbacks ("native
 kinds") without re-entering the interpreter.  The extension only knows
-kind *tags*; this module binds each tag to the concrete Python
-function/class pair at load time and hands the table to
-``_wheelcore._install_kinds`` together with the helper objects the C
+kind *tags*; :func:`kind_table` binds each tag to the concrete Python
+function/class pair, and :func:`install_native_kinds` hands that table
+to ``_wheelcore._install_kinds`` together with the helper objects the C
 handlers need (sort keys, the ``deque`` type, the exact ``Stats`` /
 ``ClassStats`` / ``Bank`` / ``DataBus`` classes used for type guards).
 
-The set of tags is governed by the committed
-:data:`repro.devtools.analysis.hotpath.NATIVE_KERNELS` manifest; the
-handshake below refuses to install a table that disagrees with it, and
-analyzer rule HOT006 checks the same manifest against the
-``repro: native-kernel`` source markers.  Growing the mirrored set is
-therefore always a three-sided change: C handler, manifest entry,
-source marker.
+:func:`kind_table` is the single inventory of mirrored functions.  The
+C side refuses a table with the wrong number of kinds or a missing tag,
+and every mirrored function carries a trailing ``repro: native-kernel``
+comment on its ``def`` line (a warning to reviewers that a C handler
+mirrors it; ``tests/accel/test_native_table.py`` keeps the markers
+and the table in step).  Growing the mirrored set is therefore a
+three-sided change: C handler, table entry, source marker.
 """
 
 from __future__ import annotations
 
-import hashlib
-
-__all__ = ["install_native_kinds", "manifest_digest", "native_kinds"]
+__all__ = ["install_native_kinds", "kind_table"]
 
 
-def _manifest() -> dict[str, str]:
-    # Imported lazily: repro.accel must stay importable without pulling
-    # in the devtools package until a compiled backend actually loads.
-    from repro.devtools.analysis.hotpath import NATIVE_KERNELS
+def kind_table() -> dict[str, tuple[object, type]]:
+    """Kind tag -> (plain function, exact owner class) for every mirror.
 
-    return NATIVE_KERNELS
-
-
-def native_kinds() -> dict[str, str]:
-    """qualname -> kind tag, as committed in the devtools manifest."""
-    return dict(_manifest())
-
-
-def manifest_digest() -> str:
-    """Stable digest of the native-kind inventory.
-
-    Folded into the build fingerprint so a manifest change (new kind,
-    renamed tag) invalidates cached extension builds whose registered
-    table would no longer match.
+    Needs no toolchain: it only imports the pure-Python model.
     """
-    payload = "\n".join(f"{qual}={kind}" for qual, kind in sorted(_manifest().items()))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def install_native_kinds(core) -> None:
-    """Register the (function, exact class) table with a loaded core."""
-    from collections import deque
-
-    from repro.accel import AccelUnavailable
     from repro.core.arbiter import PriorityArbiter
     from repro.core.pacer import Pacer
-    from repro.dram.bank import Bank
-    from repro.dram.channel import DataBus
     from repro.dram.controller import MemoryController
-    from repro.sim.stats import ClassStats, Stats
-    from repro.sim.system import _BY_KEY, _BY_NOC_SEQ, System
+    from repro.sim.system import System
 
-    kinds = {
+    return {
         "pacer_release_head": (Pacer._release_head, Pacer),
         "mc_run_pass": (MemoryController._run_pass, MemoryController),
         "mc_complete": (MemoryController._complete, MemoryController),
@@ -76,16 +47,23 @@ def install_native_kinds(core) -> None:
         "mc_policy_on_accept": (PriorityArbiter.on_accept, PriorityArbiter),
         "mc_policy_pick": (PriorityArbiter.pick, PriorityArbiter),
     }
-    declared = set(_manifest().values())
-    if set(kinds) != declared:
-        missing = sorted(declared - set(kinds))
-        extra = sorted(set(kinds) - declared)
-        raise AccelUnavailable(
-            "native kind table disagrees with the NATIVE_KERNELS manifest "
-            f"(missing={missing}, unregistered={extra}); update "
-            "repro.devtools.analysis.hotpath.NATIVE_KERNELS and "
-            "repro.accel.native together"
-        )
+
+
+def install_native_kinds(core) -> None:
+    """Register :func:`kind_table` with a loaded core.
+
+    A table the C side rejects (wrong size, missing tag) raises
+    :class:`~repro.accel.AccelUnavailable`, so ``--backend=auto`` falls
+    back to the pure engine instead of crashing.
+    """
+    from collections import deque
+
+    from repro.accel import AccelUnavailable
+    from repro.dram.bank import Bank
+    from repro.dram.channel import DataBus
+    from repro.sim.stats import ClassStats, Stats
+    from repro.sim.system import _BY_KEY, _BY_NOC_SEQ
+
     helpers = {
         "bank": Bank,
         "databus": DataBus,
@@ -95,4 +73,11 @@ def install_native_kinds(core) -> None:
         "by_key": _BY_KEY,
         "by_noc_seq": _BY_NOC_SEQ,
     }
-    core._install_kinds(kinds, helpers)
+    try:
+        core._install_kinds(kind_table(), helpers)
+    except (KeyError, ValueError) as exc:
+        raise AccelUnavailable(
+            f"compiled core rejected the native kind table: {exc}; "
+            "repro.accel.native.kind_table and _wheelcore.c must list "
+            "the same kinds"
+        ) from exc

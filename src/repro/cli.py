@@ -581,11 +581,10 @@ def _cmd_accel(args: argparse.Namespace) -> int:
     print(f"auto resolves to: {accel.resolve_backend('auto')}")
     from repro.accel import native
 
-    kinds = native.native_kinds()
-    print(f"native kinds ({len(kinds)}, manifest "
-          f"{native.manifest_digest()}):")
-    for qualname, tag in sorted(kinds.items(), key=lambda kv: kv[1]):
-        print(f"  {tag:<24} {qualname}")
+    kinds = native.kind_table()
+    print(f"native kinds ({len(kinds)}):")
+    for tag, (func, _cls) in sorted(kinds.items()):
+        print(f"  {tag:<24} {func.__module__}.{func.__qualname__}")
     stats = accel.fastpath_stats()
     total = stats["hits"] + stats["misses"]
     if total:

@@ -7,16 +7,15 @@ simulator honest, in two tiers:
   mechanically enforces the rules in README.md's "Determinism rules"
   section: no ambient randomness, no wall-clock reads inside timed
   layers, no float cycle arithmetic, no order leaks from unordered
-  containers.
+  containers, and one import-confinement table (PERF001).
 * The whole-program analyzer (:mod:`repro.devtools.analysis`) builds a
   project symbol table + call graph and checks properties no single
-  file can show: cross-module determinism taint (DET1xx), hot-kernel
-  compiled-subset discipline (HOT), checkpoint pickle-safety (CKPT),
-  and observability provider integrity (OBS).
+  file can show: cross-module determinism taint (DET1xx), checkpoint
+  pickle-safety (CKPT), and observability provider integrity (OBS).
 
 Supporting modules: :mod:`repro.devtools.formats` (text/JSON/SARIF
-output), :mod:`repro.devtools.baseline` (grandfathered-finding
-suppression), :mod:`repro.devtools.fixes` (``--fix`` autofixes).
+output) and :mod:`repro.devtools.fixes` (``--fix`` autofixes).  The
+only suppression is a ``# repro: noqa[CODE]`` comment in the source.
 
 Run everything as ``python -m repro.devtools.lint src tests`` or via the
 ``repro lint`` CLI subcommand.

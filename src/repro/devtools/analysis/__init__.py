@@ -2,14 +2,12 @@
 
 This package grows ``repro.devtools`` beyond per-file AST matching: it
 builds one shared symbol table + call graph over the package tree
-(:mod:`.symbols`, :mod:`.callgraph`) and runs four whole-program rule
+(:mod:`.symbols`, :mod:`.callgraph`) and runs three whole-program rule
 families against it:
 
 * **DET1xx** (:mod:`.taint`) — cross-module determinism taint: can a
   wall-clock/RNG/``hash()`` value *reach* the event queue or seed
   derivation via any call path?
-* **HOT** (:mod:`.hotpath`) — compiled-subset discipline for the
-  declared hot-kernel manifest (ROADMAP item 4 pre-flight).
 * **CKPT** (:mod:`.pickle_safety`) — static pickle-safety reachability
   from the ``System`` field graph.
 * **OBS** (:mod:`.obs_rules`) — every registered observability provider
@@ -30,7 +28,6 @@ from repro.devtools.analysis.cache import (
     store_analysis,
 )
 from repro.devtools.analysis.callgraph import build_call_graph
-from repro.devtools.analysis.hotpath import HOT_KERNELS, analyze_hot_kernels
 from repro.devtools.analysis.obs_rules import analyze_obs_providers
 from repro.devtools.analysis.pickle_safety import analyze_pickle_safety
 from repro.devtools.analysis.symbols import ProjectIndex, build_index
@@ -38,7 +35,6 @@ from repro.devtools.analysis.taint import analyze_taint
 from repro.devtools.lint import Diagnostic
 
 __all__ = [
-    "HOT_KERNELS",
     "WHOLE_PROGRAM_RULES",
     "analyze_project",
     "build_call_graph",
@@ -59,33 +55,6 @@ WHOLE_PROGRAM_RULES: dict[str, tuple[str, str]] = {
         "nondeterministic value can reach RNG seed derivation "
         "(SeedSequence/PCG64/default_rng or a seed=/entropy= kwarg)",
         "determinism",
-    ),
-    "HOT001": (
-        "hot kernel uses dynamic features (eval/exec/globals/setattr/**kwargs) "
-        "outside the compiled subset",
-        "hot-path",
-    ),
-    "HOT002": (
-        "hot kernel nested def/lambda captures enclosing state (cell "
-        "variables defeat unboxing)",
-        "hot-path",
-    ),
-    "HOT003": (
-        "container allocation inside a hot-kernel loop (tuples allowed)",
-        "hot-path",
-    ),
-    "HOT004": (
-        "hot-kernel timestamp parameter not annotated int / float literal "
-        "in cycle arithmetic",
-        "hot-path",
-    ),
-    "HOT005": (
-        "hot-kernel manifest and '# repro: hot-kernel' markers disagree",
-        "hot-path",
-    ),
-    "HOT006": (
-        "NATIVE_KERNELS manifest and 'repro: native-kernel' markers disagree",
-        "hot-path",
     ),
     "CKPT001": (
         "checkpoint-reachable field holds an OS resource "
@@ -114,7 +83,6 @@ def analyze_index(index: ProjectIndex) -> list[Diagnostic]:
     """Run every whole-program family against an already-built index."""
     diagnostics: list[Diagnostic] = []
     diagnostics.extend(analyze_taint(index))
-    diagnostics.extend(analyze_hot_kernels(index))
     diagnostics.extend(analyze_pickle_safety(index))
     diagnostics.extend(analyze_obs_providers(index))
     diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.code))

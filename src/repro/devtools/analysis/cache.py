@@ -7,7 +7,7 @@ source_fingerprint`): any source edit anywhere in the package
 invalidates the entry, and an unchanged tree hits the cache without
 re-parsing a single file.
 
-Entries are JSON, not pickle — PERF003 confines pickle to
+Entries are JSON, not pickle — PERF001 confines pickle to
 ``runner/checkpoint.py``, and the devtools hold themselves to the rules
 they enforce.  Layout mirrors the runner caches: one
 ``<fingerprint>.json`` per entry under ``.repro-cache/analysis/``.

@@ -100,7 +100,6 @@ class FunctionInfo:
     is_method: bool
     owner: str | None  # owning class qualname for methods
     is_property: bool
-    has_kwargs: bool
     node: ast.FunctionDef | ast.AsyncFunctionDef = field(repr=False, default=None)
 
 
@@ -123,7 +122,6 @@ class ModuleInfo:
     name: str  # dotted module name, e.g. ``repro.sim.engine``
     path: str
     source: str = field(repr=False, default="")
-    lines: tuple[str, ...] = field(repr=False, default=())
     tree: ast.Module = field(repr=False, default=None)
     imports: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
@@ -641,7 +639,6 @@ class _ModuleBuilder:
             is_method=owner is not None,
             owner=owner.qualname if owner is not None else None,
             is_property=is_property,
-            has_kwargs=node.args.kwarg is not None,
             node=node,
         )
 
@@ -689,7 +686,6 @@ def build_index(
             name=name,
             path=str(path),
             source=text,
-            lines=tuple(text.splitlines()),
             tree=tree,
         )
         index.modules[name] = module

@@ -30,52 +30,33 @@ DET005    no iteration over bare ``set`` literals/comprehensions —
 SIM001    ``Engine.schedule``/``schedule_at`` callsites must pass an
           int-typed delay expression (no float literals, ``float()``
           casts, or ``/`` in the delay argument).
-PERF001   ``networkx`` may only be imported by ``sim/topology.py``.
-          The mesh topology precomputes dense integer latency tables at
-          build time precisely so the per-event hot path never touches
-          graph algorithms; a new networkx import elsewhere in the
-          package almost always means shortest-path work crept back
-          into simulation code.
-PERF002   ``heapq`` may only be imported by ``sim/engine.py``.  The
-          timing-wheel scheduler keeps a heap solely for beyond-horizon
-          overflow entries; a separate priority queue anywhere else in
-          the package either duplicates event ordering outside the
-          engine's ``(when, seq)`` guarantee or reintroduces per-event
-          heap traffic the wheel exists to avoid.
-PERF003   serialization modules (``pickle``, ``marshal``, ``shelve``,
-          ``dill``) may only be imported by ``runner/checkpoint.py``.
-          Simulator-state serialization is a versioned, validated
-          checkpoint format; an ad-hoc pickle elsewhere either bypasses
-          the restore validation/versioning or drags serialization
-          overhead into simulation code.
-PERF004   process-parallelism modules (``multiprocessing``,
-          ``concurrent.futures``) may only be imported under
-          ``runner/`` (the sweep pool).  Worker processes are an
-          orchestration concern; a pool inside simulation code would
-          put nondeterministic scheduling next to the event loop the
-          whole design keeps bit-deterministic.
-PERF005   native-code loading modules (``ctypes``, ``cffi``,
-          ``importlib.machinery``) may only be imported under
-          ``accel/``.  The compiled backend owns the extension build,
-          the ABI handshake, and the pure-Python fallback; a stray
-          ``.so`` load elsewhere bypasses backend selection and the
-          byte-identity contract the accel package enforces.
+PERF001   import confinement: each row of :data:`CONFINEMENT` names
+          modules that only one file or subpackage may import —
+          ``networkx`` (``sim/topology.py``: build-time latency tables),
+          ``heapq``/``_heapq`` (``sim/engine.py``: the wheel's overflow
+          heap), ``pickle``/``_pickle``/``marshal``/``shelve``/``dill``
+          (``runner/checkpoint.py``: the versioned checkpoint format),
+          ``multiprocessing``/``concurrent.futures`` (``runner/``: the
+          sweep pool) and ``ctypes``/``cffi``/``importlib.machinery``
+          (``accel/``: the compiled backend).  ``import m.sub`` counts
+          as importing ``m``; ``from a import b`` as importing ``a`` and
+          ``a.b``.
 ========  ==============================================================
 
 Beyond the per-file rules above, ``main`` also runs the whole-program
 pass (:mod:`repro.devtools.analysis`) whenever a lint path contains the
-``repro`` package: determinism taint (DET1xx), hot-kernel discipline
-(HOT), checkpoint pickle-safety (CKPT), and observability providers
-(OBS).  ``--list-rules`` shows both registries.
+``repro`` package: determinism taint (DET1xx), checkpoint pickle-safety
+(CKPT), and observability providers (OBS).  ``--list-rules`` shows both
+registries.
 
 Usage::
 
     python -m repro.devtools.lint [--list-rules] [--format=text|json|sarif]
-                                  [--fix] [--jobs N] [paths ...]
+                                  [--fix] [paths ...]
     repro lint [paths ...]
 
-Exit status is non-zero when any diagnostic survives suppression and
-the baseline; 2 on usage errors (nonexistent or non-Python paths).
+Exit status is 1 when any diagnostic survives suppression; 2 on usage
+errors (nonexistent or non-Python paths).
 """
 
 from __future__ import annotations
@@ -89,6 +70,7 @@ from pathlib import Path, PurePosixPath
 from typing import ClassVar, Iterable, Iterator
 
 __all__ = [
+    "CONFINEMENT",
     "Diagnostic",
     "LintUsageError",
     "RULES",
@@ -467,236 +449,117 @@ class IntegerScheduleDelay(Rule):
         self.generic_visit(node)
 
 
+@dataclass(frozen=True)
+class Confinement:
+    """One row of the import-confinement table (rule PERF001).
+
+    ``banned`` modules may only be imported by files whose path below the
+    ``repro`` package starts with ``allowed`` (a file, or a directory when
+    the last part has no ``.py`` suffix).
+    """
+
+    banned: tuple[str, ...]
+    allowed: tuple[str, ...]
+    reason: str
+
+    @property
+    def where(self) -> str:
+        where = "/".join(self.allowed)
+        return where if where.endswith(".py") else where + "/"
+
+    def match(self, name: str) -> str | None:
+        """The banned module ``name`` is, or lies inside; else None."""
+        for banned in self.banned:
+            if name == banned or name.startswith(banned + "."):
+                return banned
+        return None
+
+
+#: Modules whose import is confined to one file or subpackage of
+#: ``repro``.  The C accelerators (``_pickle``, ``_heapq``) are listed
+#: beside their wrappers: they expose the same ``loads``/``dumps`` and
+#: heap primitives.
+CONFINEMENT: tuple[Confinement, ...] = (
+    Confinement(
+        ("networkx",),
+        ("sim", "topology.py"),
+        "graph algorithms belong in the build-time latency-table "
+        "precompute, not in per-event simulation code (consume the dense "
+        "tables on MeshTopology instead)",
+    ),
+    Confinement(
+        ("heapq", "_heapq"),
+        ("sim", "engine.py"),
+        "event ordering belongs to the engine's timing wheel "
+        "(schedule/post/post_chain_at), and a separate priority queue in "
+        "simulation code sidesteps the (when, seq) dispatch-order "
+        "guarantee or reintroduces the per-event heap traffic the wheel "
+        "removes",
+    ),
+    Confinement(
+        # json is exempt: it cannot encode object graphs.
+        ("pickle", "_pickle", "marshal", "shelve", "dill"),
+        ("runner", "checkpoint.py"),
+        "simulator state serialization is a versioned checkpoint format "
+        "with restore validation — route snapshots through "
+        "repro.runner.checkpoint instead of ad-hoc pickling",
+    ),
+    Confinement(
+        ("multiprocessing", "concurrent.futures"),
+        ("runner",),
+        "worker processes are an orchestration concern — route "
+        "parallelism through repro.runner (the sweep pool) so "
+        "nondeterministic OS scheduling never sits next to the "
+        "bit-deterministic event loop",
+    ),
+    Confinement(
+        ("ctypes", "cffi", "importlib.machinery"),
+        ("accel",),
+        "native-code loading is the compiled backend's concern — "
+        "repro.accel owns the build, the ABI handshake, and the "
+        "pure-Python fallback, so a stray .so load elsewhere bypasses "
+        "backend selection and the byte-identity contract",
+    ),
+)
+
+
 @register
-class NetworkxOnlyInTopology(Rule):
+class ImportConfinement(Rule):
     code = "PERF001"
-    summary = "networkx imports are confined to sim/topology.py"
-
-    #: The one module allowed to import networkx: it runs graph
-    #: algorithms once at build time to fill the dense latency tables.
-    _ALLOWED = ("sim", "topology.py")
-
-    @classmethod
-    def applies(cls, ctx: FileContext) -> bool:
-        parts = ctx.repro_parts
-        return parts is not None and parts != cls._ALLOWED
-
-    def _flag(self, node: ast.AST) -> None:
-        self.report(
-            node,
-            "networkx import outside sim/topology.py; graph algorithms "
-            "belong in the build-time latency-table precompute, not in "
-            "per-event simulation code (consume the dense tables on "
-            "MeshTopology instead)",
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "networkx" or alias.name.startswith("networkx."):
-                self._flag(node)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if module == "networkx" or module.startswith("networkx."):
-            self._flag(node)
-        self.generic_visit(node)
-
-
-@register
-class HeapqOnlyInEngine(Rule):
-    code = "PERF002"
-    summary = "heapq imports are confined to sim/engine.py"
-
-    #: The one module allowed to import heapq: the engine keeps a heap
-    #: only for timing-wheel overflow entries beyond the horizon.
-    _ALLOWED = ("sim", "engine.py")
-
-    @classmethod
-    def applies(cls, ctx: FileContext) -> bool:
-        parts = ctx.repro_parts
-        return parts is not None and parts != cls._ALLOWED
-
-    def _flag(self, node: ast.AST) -> None:
-        self.report(
-            node,
-            "heapq import outside sim/engine.py; event ordering belongs "
-            "to the engine's timing wheel (schedule/post/post_chain_at), "
-            "and a separate priority queue in simulation code sidesteps "
-            "the (when, seq) dispatch-order guarantee or reintroduces "
-            "the per-event heap traffic the wheel removes",
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "heapq" or alias.name.startswith("heapq."):
-                self._flag(node)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if module == "heapq" or module.startswith("heapq."):
-            self._flag(node)
-        self.generic_visit(node)
-
-
-@register
-class SerializationOnlyInCheckpoint(Rule):
-    code = "PERF003"
-    summary = "serialization imports are confined to runner/checkpoint.py"
-
-    #: The one module allowed to serialize simulator state: checkpoints
-    #: carry a version field and pass restore validation there.
-    _ALLOWED = ("runner", "checkpoint.py")
-
-    #: Serialization modules covered by the rule.  json is exempt — it
-    #: cannot encode object graphs, so it poses no checkpoint hazard.
-    _BANNED = ("pickle", "cPickle", "marshal", "shelve", "dill")
-
-    @classmethod
-    def applies(cls, ctx: FileContext) -> bool:
-        parts = ctx.repro_parts
-        return parts is not None and parts != cls._ALLOWED
-
-    def _flag(self, node: ast.AST, module: str) -> None:
-        self.report(
-            node,
-            f"{module} import outside runner/checkpoint.py; simulator "
-            "state serialization is a versioned checkpoint format with "
-            "restore validation — route snapshots through "
-            "repro.runner.checkpoint instead of ad-hoc pickling",
-        )
-
-    def _match(self, name: str) -> str | None:
-        for banned in self._BANNED:
-            if name == banned or name.startswith(banned + "."):
-                return banned
-        return None
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            banned = self._match(alias.name)
-            if banned is not None:
-                self._flag(node, banned)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        banned = self._match(node.module or "")
-        if banned is not None:
-            self._flag(node, banned)
-        self.generic_visit(node)
-
-
-@register
-class ProcessParallelismOnlyInRunner(Rule):
-    code = "PERF004"
     summary = (
-        "multiprocessing/concurrent.futures imports are confined to "
-        "runner/"
+        "networkx/heapq/pickle/process-pool/native-loader imports are "
+        "confined to their owning module (see lint.CONFINEMENT)"
     )
 
-    #: Directory whose modules may spawn worker processes: the sweep
-    #: pool lives here.
-    _ALLOWED_DIR = "runner"
-
-    _BANNED = ("multiprocessing", "concurrent.futures")
-
     @classmethod
     def applies(cls, ctx: FileContext) -> bool:
-        parts = ctx.repro_parts
-        if parts is None:
-            return False
-        return not (len(parts) > 1 and parts[0] == cls._ALLOWED_DIR)
+        return ctx.in_repro_package
 
-    def _flag(self, node: ast.AST, module: str) -> None:
-        self.report(
-            node,
-            f"{module} import outside runner/; worker processes are an "
-            "orchestration concern — route parallelism through "
-            "repro.runner (the sweep pool) "
-            "so nondeterministic OS scheduling never sits next to the "
-            "bit-deterministic event loop",
-        )
-
-    def _match(self, name: str) -> str | None:
-        for banned in self._BANNED:
-            if name == banned or name.startswith(banned + "."):
-                return banned
-        return None
+    def _check(self, node: ast.AST, names: list[str]) -> None:
+        parts = self.ctx.repro_parts or ()
+        for row in CONFINEMENT:
+            if parts[: len(row.allowed)] == row.allowed:
+                continue
+            for name in names:
+                banned = row.match(name)
+                if banned is not None:
+                    self.report(
+                        node, f"{banned} import outside {row.where}; {row.reason}"
+                    )
+                    break
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            banned = self._match(alias.name)
-            if banned is not None:
-                self._flag(node, banned)
-        self.generic_visit(node)
+            self._check(node, [alias.name])
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        banned = self._match(module)
-        if banned is None and module == "concurrent":
-            # `from concurrent import futures` reaches the same pool API
-            if any(alias.name == "futures" for alias in node.names):
-                banned = "concurrent.futures"
-        if banned is not None:
-            self._flag(node, banned)
-        self.generic_visit(node)
-
-
-@register
-class NativeCodeOnlyInAccel(Rule):
-    code = "PERF005"
-    summary = (
-        "native-code loading (ctypes/cffi/importlib.machinery) is "
-        "confined to accel/"
-    )
-
-    #: The compiled-backend package: the one place that may compile,
-    #: load, or talk to a native extension.
-    _ALLOWED_DIR = "accel"
-
-    _BANNED = ("ctypes", "cffi", "importlib.machinery")
-
-    @classmethod
-    def applies(cls, ctx: FileContext) -> bool:
-        parts = ctx.repro_parts
-        if parts is None:
-            return False
-        return not (len(parts) > 1 and parts[0] == cls._ALLOWED_DIR)
-
-    def _flag(self, node: ast.AST, module: str) -> None:
-        self.report(
-            node,
-            f"{module} import outside accel/; native-code loading is the "
-            "compiled backend's concern — repro.accel owns the build, "
-            "the ABI handshake, and the pure-Python fallback, so a "
-            "stray .so load elsewhere bypasses backend selection and "
-            "the byte-identity contract",
-        )
-
-    def _match(self, name: str) -> str | None:
-        for banned in self._BANNED:
-            if name == banned or name.startswith(banned + "."):
-                return banned
-        return None
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            banned = self._match(alias.name)
-            if banned is not None:
-                self._flag(node, banned)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        banned = self._match(module)
-        if banned is None and module == "importlib":
-            # `from importlib import machinery` reaches the same loaders
-            if any(alias.name == "machinery" for alias in node.names):
-                banned = "importlib.machinery"
-        if banned is not None:
-            self._flag(node, banned)
-        self.generic_visit(node)
+        # ``from a import b`` may bind submodule ``a.b``
+        # (``from concurrent import futures``), so both names are checked.
+        if node.module:
+            self._check(
+                node,
+                [node.module] + [f"{node.module}.{a.name}" for a in node.names],
+            )
 
 
 # ----------------------------------------------------------------------
@@ -848,30 +711,11 @@ def _iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
             yield candidate
 
 
-def lint_paths(
-    paths: Iterable[Path | str], jobs: int = 1
-) -> list[Diagnostic]:
-    """Lint every ``*.py`` file under the given files/directories.
-
-    With ``jobs > 1`` files are analyzed in parallel worker processes
-    (each file is independent); output order stays deterministic.
-    """
-    files = list(_iter_python_files(paths))
-    if jobs > 1 and len(files) > 1:
-        # The linter may parallelize over files; it is tooling, not
-        # simulation code, so it exempts itself from its own rule.
-        from concurrent.futures import ProcessPoolExecutor  # repro: noqa[PERF004]
-
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                per_file = list(pool.map(lint_file, files, chunksize=8))
-        except (OSError, ValueError):  # no process support: degrade serially
-            per_file = [lint_file(path) for path in files]
-    else:
-        per_file = [lint_file(path) for path in files]
+def lint_paths(paths: Iterable[Path | str]) -> list[Diagnostic]:
+    """Lint every ``*.py`` file under the given files/directories."""
     diagnostics: list[Diagnostic] = []
-    for file_diags in per_file:
-        diagnostics.extend(file_diags)
+    for path in _iter_python_files(paths):
+        diagnostics.extend(lint_file(path))
     return diagnostics
 
 
@@ -879,7 +723,6 @@ _FAMILIES = {
     "DET": "determinism",
     "SIM": "simulation",
     "PERF": "performance",
-    "HOT": "hot-path",
     "CKPT": "checkpoint",
     "OBS": "observability",
 }
@@ -1008,33 +851,8 @@ def main(argv: list[str] | None = None) -> int:
         help="apply autofixes for the mechanical rules (DET004, DET005)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="lint files in N parallel processes (default: 1)",
-    )
-    parser.add_argument(
-        "--baseline", default="LINT_BASELINE.json", metavar="PATH",
-        help="baseline suppression file (default: LINT_BASELINE.json; "
-             "missing file means empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file with all current findings "
-             "(existing justifications carry forward by key; refuses to "
-             "add new TODO-justified entries without --accept-todo)",
-    )
-    parser.add_argument(
-        "--accept-todo", action="store_true",
-        help="with --update-baseline: allow writing placeholder "
-             "(TODO) justifications for findings the previous baseline "
-             "did not justify",
-    )
-    parser.add_argument(
         "--no-whole-program", action="store_true",
-        help="skip the whole-program analysis pass (DET1xx/HOT/CKPT/OBS)",
+        help="skip the whole-program analysis pass (DET1xx/CKPT/OBS)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -1061,7 +879,7 @@ def main(argv: list[str] | None = None) -> int:
             changed = fix_paths(args.paths)
             for path, count in changed:
                 print(f"fixed {count} finding(s) in {path}")
-        diagnostics = lint_paths(args.paths, jobs=args.jobs)
+        diagnostics = lint_paths(args.paths)
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1078,64 +896,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
     diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.code))
-
-    from repro.devtools.baseline import Baseline
-
-    baseline_path = Path(args.baseline)
-    if args.update_baseline:
-        previous = Baseline.load(baseline_path)
-        updated = Baseline.from_diagnostics(
-            diagnostics, justifications=previous.justifications()
-        )
-        placeholders = updated.placeholder_entries()
-        if placeholders and not args.accept_todo:
-            print(
-                f"refusing to write {len(placeholders)} baseline entr"
-                f"{'y' if len(placeholders) == 1 else 'ies'} with "
-                "placeholder justifications; justify the findings or "
-                "re-run with --accept-todo:",
-                file=sys.stderr,
-            )
-            for entry in placeholders:
-                print(
-                    f"  {entry.path}:{entry.line}: {entry.code} "
-                    f"{entry.message}",
-                    file=sys.stderr,
-                )
-            return 2
-        updated.save(baseline_path)
-        print(f"baseline updated: {baseline_path} ({len(diagnostics)} entries)")
-        if placeholders:
-            print(
-                f"warning: {len(placeholders)} entr"
-                f"{'y has' if len(placeholders) == 1 else 'ies have'} "
-                "placeholder justifications — fill them in before "
-                "committing",
-                file=sys.stderr,
-            )
-        return 0
-    if not args.no_baseline:
-        baseline = Baseline.load(baseline_path)
-        placeholders = baseline.placeholder_entries()
-        if placeholders:
-            from repro.obs.warnings import obs_warn
-
-            obs_warn(
-                "lint.baseline_todo",
-                "baseline %s suppresses %d finding(s) without reviewed "
-                "justifications",
-                baseline_path,
-                len(placeholders),
-            )
-            for entry in placeholders:
-                print(
-                    f"warning: baseline entry {entry.path}: {entry.code} "
-                    "has a placeholder justification — justify or fix",
-                    file=sys.stderr,
-                )
-        diagnostics, suppressed = baseline.filter(diagnostics)
-        if suppressed and args.timings:
-            timings.append(f"baseline suppressed {suppressed} finding(s)")
 
     from repro.devtools.formats import render
 

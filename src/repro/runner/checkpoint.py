@@ -29,7 +29,7 @@ whose prefixes hash equal share one checkpoint; any source change
 invalidates every checkpoint, exactly like the result cache.
 
 This is the **only** module in the package allowed to import ``pickle``
-(lint rule PERF003): serialization of simulator state is a versioned,
+(lint rule PERF001): serialization of simulator state is a versioned,
 validated format, and confining it here keeps every producer and
 consumer on that format.
 """

@@ -430,7 +430,7 @@ class TimingWheel:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run_until(self, deadline: int) -> None:  # repro: hot-kernel
+    def run_until(self, deadline: int) -> None:
         """Dispatch events with timestamp <= ``deadline``.
 
         The clock is left at ``deadline`` even if the queue drains early, so
@@ -642,7 +642,7 @@ class TimingWheel:
             self._wheel_pos = deadline
             self._horizon = deadline + _WHEEL_SIZE
 
-    def run(self, max_events: int | None = None) -> int:  # repro: hot-kernel
+    def run(self, max_events: int | None = None) -> int:
         """Dispatch events until the queue is empty.
 
         Returns the number of events dispatched.  ``max_events`` guards

@@ -8,7 +8,7 @@ the cancel-after-dispatch edge and a mid-run marshal from the compiled
 engine to the pure one (checkpoints are backend-neutral).
 
 ``pickle`` here crosses the same boundary checkpoints do; the tests are
-outside lint scope (PERF003 confines pickle within ``src/repro``).
+outside lint scope (PERF001 confines pickle within ``src/repro``).
 """
 
 import pickle

@@ -1,4 +1,4 @@
-"""Seeded PERF005 violations: native-code loading outside accel/.
+"""Seeded PERF001 violations: native-code loading outside accel/.
 
 The corpus harness lints each case's ``proj`` tree as if it were the
 ``repro`` package, so ``obs/sampler.py`` here is subject to the same

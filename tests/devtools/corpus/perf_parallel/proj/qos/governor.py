@@ -1,4 +1,4 @@
-"""Seeded PERF004 violations: worker pools inside simulation code.
+"""Seeded PERF001 violations: worker pools inside simulation code.
 
 The corpus harness lints each case's ``proj`` tree as if it were the
 ``repro`` package, so ``qos/governor.py`` here is subject to the same

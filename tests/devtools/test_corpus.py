@@ -25,14 +25,14 @@ CASES = sorted(p.name for p in CORPUS.iterdir() if (p / "proj").is_dir())
 
 #: Each new rule family must catch at least two distinct seeded
 #: violations somewhere in the corpus (acceptance criterion).
-FAMILY_MINIMUMS = {"DET1": 2, "HOT": 2, "CKPT": 2, "OBS": 2, "PERF": 2}
+FAMILY_MINIMUMS = {"DET1": 2, "CKPT": 2, "OBS": 2, "PERF": 2}
 
 
 def _case_output(case: str) -> str:
     """Whole-program analysis plus per-file lint over one case's proj tree.
 
-    Per-file confinement rules (PERFxxx) only apply to paths under a
-    ``repro`` package dir, so each file is linted under a synthetic
+    The per-file confinement rule (PERF001) only applies to paths under
+    a ``repro`` package dir, so each file is linted under a synthetic
     ``repro/`` prefix — the case's ``proj`` tree stands in for the real
     package.  Keeping the prefix synthetic (no on-disk ``repro`` dir)
     means the repo-wide lint sweep never trips over seeded violations.

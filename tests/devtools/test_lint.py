@@ -11,7 +11,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.devtools.lint import RULES, lint_source, main
+import pytest
+
+from repro.devtools.lint import CONFINEMENT, RULES, lint_source, main
 
 SIM_PATH = "src/repro/sim/fake.py"        # inside repro, inside a timed layer
 REPRO_PATH = "src/repro/analysis/fake.py"  # inside repro, outside timed layers
@@ -197,13 +199,13 @@ class TestPerf001NetworkxConfinement:
 
 class TestPerf002HeapqConfinement:
     def test_import_in_sim_module_fires(self):
-        assert codes("import heapq\n") == ["PERF002"]
+        assert codes("import heapq\n") == ["PERF001"]
 
     def test_from_import_fires(self):
-        assert codes("from heapq import heappush\n") == ["PERF002"]
+        assert codes("from heapq import heappush\n") == ["PERF001"]
 
     def test_import_elsewhere_in_repro_fires(self):
-        assert codes("import heapq\n", REPRO_PATH) == ["PERF002"]
+        assert codes("import heapq\n", REPRO_PATH) == ["PERF001"]
 
     def test_engine_module_is_allowed(self):
         assert codes("import heapq\n", "src/repro/sim/engine.py") == []
@@ -215,20 +217,20 @@ class TestPerf002HeapqConfinement:
         assert codes("import bisect\n") == []
 
     def test_noqa_suppresses(self):
-        assert codes("import heapq  # repro: noqa[PERF002]\n") == []
+        assert codes("import heapq  # repro: noqa[PERF001]\n") == []
 
 
 class TestPerf003SerializationConfinement:
     def test_pickle_import_in_sim_module_fires(self):
-        assert codes("import pickle\n") == ["PERF003"]
+        assert codes("import pickle\n") == ["PERF001"]
 
     def test_from_import_fires(self):
-        assert codes("from pickle import dumps\n") == ["PERF003"]
+        assert codes("from pickle import dumps\n") == ["PERF001"]
 
     def test_other_serializers_fire(self):
-        assert codes("import marshal\n", REPRO_PATH) == ["PERF003"]
-        assert codes("import shelve\n", REPRO_PATH) == ["PERF003"]
-        assert codes("import dill\n", REPRO_PATH) == ["PERF003"]
+        assert codes("import marshal\n", REPRO_PATH) == ["PERF001"]
+        assert codes("import shelve\n", REPRO_PATH) == ["PERF001"]
+        assert codes("import dill\n", REPRO_PATH) == ["PERF001"]
 
     def test_checkpoint_module_is_allowed(self):
         assert codes(
@@ -238,7 +240,7 @@ class TestPerf003SerializationConfinement:
     def test_other_runner_modules_fire(self):
         assert codes(
             "import pickle\n", "src/repro/runner/pool.py"
-        ) == ["PERF003"]
+        ) == ["PERF001"]
 
     def test_tests_are_out_of_scope(self):
         assert codes("import pickle\n", TEST_PATH) == []
@@ -247,29 +249,29 @@ class TestPerf003SerializationConfinement:
         assert codes("import json\n", REPRO_PATH) == []
 
     def test_noqa_suppresses(self):
-        assert codes("import pickle  # repro: noqa[PERF003]\n") == []
+        assert codes("import pickle  # repro: noqa[PERF001]\n") == []
 
 
 class TestPerf004ProcessParallelismConfinement:
     def test_import_in_sim_module_fires(self):
-        assert codes("import multiprocessing\n") == ["PERF004"]
+        assert codes("import multiprocessing\n") == ["PERF001"]
 
     def test_from_import_fires(self):
-        assert codes("from multiprocessing import Pipe\n") == ["PERF004"]
+        assert codes("from multiprocessing import Pipe\n") == ["PERF001"]
 
     def test_concurrent_futures_fires(self):
-        assert codes("import concurrent.futures\n", REPRO_PATH) == ["PERF004"]
+        assert codes("import concurrent.futures\n", REPRO_PATH) == ["PERF001"]
         assert codes(
             "from concurrent.futures import ProcessPoolExecutor\n", REPRO_PATH
-        ) == ["PERF004"]
+        ) == ["PERF001"]
         assert codes(
             "from concurrent import futures\n", REPRO_PATH
-        ) == ["PERF004"]
+        ) == ["PERF001"]
 
     def test_submodule_import_fires(self):
         assert codes(
             "from multiprocessing.connection import Connection\n", REPRO_PATH
-        ) == ["PERF004"]
+        ) == ["PERF001"]
 
     def test_runner_modules_are_allowed(self):
         assert codes(
@@ -284,7 +286,7 @@ class TestPerf004ProcessParallelismConfinement:
         for name in ("engine.py", "system.py", "partition.py", "window.py"):
             assert codes(
                 "import multiprocessing\n", f"src/repro/sim/{name}"
-            ) == ["PERF004"], name
+            ) == ["PERF001"], name
 
     def test_tests_are_out_of_scope(self):
         assert codes("import multiprocessing\n", TEST_PATH) == []
@@ -294,25 +296,25 @@ class TestPerf004ProcessParallelismConfinement:
 
     def test_noqa_suppresses(self):
         assert codes(
-            "import multiprocessing  # repro: noqa[PERF004]\n"
+            "import multiprocessing  # repro: noqa[PERF001]\n"
         ) == []
 
 
 class TestPerf005NativeCodeConfinement:
     def test_ctypes_import_in_sim_module_fires(self):
-        assert codes("import ctypes\n") == ["PERF005"]
+        assert codes("import ctypes\n") == ["PERF001"]
 
     def test_from_import_fires(self):
-        assert codes("from ctypes import CDLL\n", REPRO_PATH) == ["PERF005"]
+        assert codes("from ctypes import CDLL\n", REPRO_PATH) == ["PERF001"]
 
     def test_machinery_fires(self):
-        assert codes("import importlib.machinery\n", REPRO_PATH) == ["PERF005"]
+        assert codes("import importlib.machinery\n", REPRO_PATH) == ["PERF001"]
         assert codes(
             "from importlib.machinery import ExtensionFileLoader\n", REPRO_PATH
-        ) == ["PERF005"]
+        ) == ["PERF001"]
         assert codes(
             "from importlib import machinery\n", REPRO_PATH
-        ) == ["PERF005"]
+        ) == ["PERF001"]
 
     def test_plain_importlib_is_fine(self):
         assert codes("import importlib\n", REPRO_PATH) == []
@@ -329,7 +331,50 @@ class TestPerf005NativeCodeConfinement:
         assert codes("import ctypes\n", TEST_PATH) == []
 
     def test_noqa_suppresses(self):
-        assert codes("import ctypes  # repro: noqa[PERF005]\n") == []
+        assert codes("import ctypes  # repro: noqa[PERF001]\n") == []
+
+
+def _import_forms(module: str) -> list[str]:
+    forms = [
+        f"import {module}\n",
+        f"import {module}.sub\n",
+        f"import {module} as x\n",
+        f"from {module} import y\n",
+    ]
+    if "." in module:
+        parent, child = module.rsplit(".", 1)
+        forms.append(f"from {parent} import {child}\n")
+    return forms
+
+
+@pytest.mark.parametrize(
+    ("row", "module"),
+    [(row, module) for row in CONFINEMENT for module in row.banned],
+    ids=[module for row in CONFINEMENT for module in row.banned],
+)
+def test_confinement_row_covers_every_import_form(row, module):
+    inside = "src/repro/" + "/".join(row.allowed)
+    if not inside.endswith(".py"):
+        inside += "/x.py"
+    for source in _import_forms(module):
+        for outside in (SIM_PATH, REPRO_PATH):
+            diags = lint_source(source, outside)
+            assert [d.code for d in diags] == ["PERF001"], (source, outside)
+            assert diags[0].message.startswith(
+                f"{module} import outside {row.where}; "
+            ), diags[0].message
+        assert codes(source, inside) == [], (source, inside)
+
+
+def test_c_accelerator_modules_are_confined():
+    # the C halves of pickle and heapq expose the same loads/dumps and
+    # heap primitives as their wrappers
+    assert codes("import _pickle\n", "src/repro/sim/x.py") == ["PERF001"]
+    assert codes("import _heapq\n", "src/repro/sim/x.py") == ["PERF001"]
+    assert codes("import _heapq\n", "src/repro/sim/engine.py") == []
+    assert codes(
+        "from _pickle import loads\n", "src/repro/runner/checkpoint.py"
+    ) == []
 
 
 class TestNoqaForms:
@@ -357,7 +402,7 @@ class TestDriver:
     def test_registry_covers_documented_rules(self):
         assert set(RULES) == {
             "DET001", "DET002", "DET003", "DET004", "DET005", "SIM001",
-            "PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
+            "PERF001",
         }
 
     def test_main_exit_codes(self, tmp_path: Path, capsys):

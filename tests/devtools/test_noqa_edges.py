@@ -194,7 +194,7 @@ def test_json_output_written_to_file(tmp_path):
     bad.write_text("x = hash('k')\n", encoding="utf-8")
     out = tmp_path / "diags.json"
     code = main([str(bad), "--format=json", "--output", str(out),
-                 "--no-whole-program", "--no-baseline"])
+                 "--no-whole-program"])
     assert code == 1
     import json
 
@@ -207,7 +207,7 @@ def test_sarif_output_shape(tmp_path):
     bad.write_text("x = hash('k')\n", encoding="utf-8")
     out = tmp_path / "diags.sarif"
     main([str(bad), "--format=sarif", "--output", str(out),
-          "--no-whole-program", "--no-baseline"])
+          "--no-whole-program"])
     import json
 
     sarif = json.loads(out.read_text(encoding="utf-8"))
@@ -223,7 +223,7 @@ def test_list_rules_table_covers_both_registries(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "per-file" in out and "whole-program" in out
-    for code in ("DET001", "DET101", "HOT003", "CKPT001", "OBS001"):
+    for code in ("DET001", "PERF001", "DET101", "CKPT001", "OBS001"):
         assert code in out
     # autofixability column
     det004_row = next(line for line in out.splitlines() if line.startswith("DET004"))
