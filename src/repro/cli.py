@@ -32,7 +32,8 @@ whole-program analysis pass (:mod:`repro.devtools.lint`,
 :mod:`repro.devtools.analysis`); all flags after ``lint`` are forwarded
 to the linter.
 ``sweep --warm-start`` simulates each warm-up prefix once and forks the
-remaining cells from its checkpoint (:mod:`repro.runner.checkpoint`);
+remaining cells from the longest link of its checkpoint chain
+(:mod:`repro.runner.checkpoint`);
 ``checkpoint`` pre-populates those snapshots, and ``cache`` reports or
 clears everything under ``.repro-cache/`` (plus any tolerated cache I/O
 warnings counted by :mod:`repro.obs.warnings`).  ``trace`` re-runs one
@@ -668,7 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result cache directory (default: .repro-cache)")
     sweep.add_argument("--warm-start", action="store_true",
                        help="simulate each warm-up prefix once and fork the "
-                            "remaining cells from its checkpoint")
+                            "remaining cells from the longest stored link "
+                            "of its checkpoint chain")
     _add_backend_argument(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 

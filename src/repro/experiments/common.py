@@ -82,29 +82,37 @@ def config_overrides(**overrides: object) -> Iterator[None]:
 
 
 # Checkpoint store consulted by run_system() for every run inside a
-# :func:`warm_start` block.  Third instance of the ambient-default
-# pattern (`sanitized`, `config_overrides`): the sweep runner turns on
-# warm-starting for whole fig* runs without changing their signatures.
+# :func:`warm_start` block, and whether those runs also snapshot their
+# end.  Third instance of the ambient-default pattern (`sanitized`,
+# `config_overrides`): the sweep runner turns on warm-starting for whole
+# fig* runs without changing their signatures.
 _default_checkpoint_store: "CheckpointStore | None" = None
+_default_snapshot_end = False
 
 
 @contextmanager
-def warm_start(store: "CheckpointStore") -> Iterator[None]:
+def warm_start(
+    store: "CheckpointStore", snapshot_end: bool = False
+) -> Iterator[None]:
     """Warm-start runs inside the block from ``store``'s checkpoints.
 
-    Every :func:`run_system` call inside the block checkpoints its
-    warm-up/measurement boundary into ``store`` (first run of a prefix)
-    or forks from the stored snapshot instead of re-simulating the
-    warm-up (every later run sharing that prefix).  Forked runs are
-    byte-identical to cold ones — see DESIGN.md §8.
+    Every :func:`run_system` call inside the block forks from the
+    longest stored link of its warm-up prefix that does not overrun the
+    run, and simulates only the remaining epochs.  With no link stored
+    it simulates the warm-up, snapshots it into ``store`` as the first
+    link, and continues.  With ``snapshot_end`` the run also stores its
+    own end state (before ``finalize()``) as a longer link, so a later,
+    longer run of the same prefix continues from there.  Forked runs
+    are byte-identical to cold ones — see DESIGN.md §8.
     """
-    global _default_checkpoint_store
-    previous = _default_checkpoint_store
+    global _default_checkpoint_store, _default_snapshot_end
+    previous = (_default_checkpoint_store, _default_snapshot_end)
     _default_checkpoint_store = store
+    _default_snapshot_end = snapshot_end
     try:
         yield
     finally:
-        _default_checkpoint_store = previous
+        _default_checkpoint_store, _default_snapshot_end = previous
 
 
 # Request tracer and epoch metric sinks attached to every system built
@@ -244,15 +252,14 @@ def run_system(
     """Run for ``epochs`` QoS epochs and summarize the steady window.
 
     ``system`` must be freshly built (no cycles run yet).  Three ways to
-    cover the warm-up window, all producing byte-identical results:
+    cover the run, all producing byte-identical results:
 
     * plain (default): simulate all ``epochs`` in one go;
-    * ``resume_from=checkpoint``: fork the measurement phase from an
-      explicit warm-up snapshot instead of simulating the warm-up —
-      the checkpoint's prefix must match this run (validated);
+    * ``resume_from=checkpoint``: fork from an explicit link of this
+      run's prefix (validated) and simulate only the epochs after it;
     * ``checkpoint_after_warmup=store`` (or an ambient
-      :func:`warm_start` block): consult the store for this run's
-      warm-up prefix — fork on a hit, otherwise simulate the warm-up,
+      :func:`warm_start` block): fork from the store's longest link of
+      this run's prefix that fits, otherwise simulate the warm-up,
       snapshot it into the store, and continue.
     """
     if warmup_epochs >= epochs:
@@ -289,8 +296,10 @@ def _run_warm_started(
     """Cover ``epochs`` via checkpointing; returns the system that ran.
 
     On a fork the caller's ``system`` object is abandoned unrun and the
-    restored clone takes its place — restores never mutate the snapshot,
-    so one stored warm-up serves any number of forks.
+    restored clone takes its place — restores never mutate the link, so
+    one stored link serves any number of forks.  A fresh build's
+    trajectory depends only on its prefix, so the link after ``k``
+    epochs is exactly where a cold run stands after ``k`` epochs.
     """
     from repro.runner.checkpoint import (
         restore_system,
@@ -312,13 +321,23 @@ def _run_warm_started(
                 f"resume_from checkpoint prefix {checkpoint.prefix_hash} "
                 f"does not match this run's warm-up prefix {prefix_hash}"
             )
+        if checkpoint.epochs > epochs:
+            raise SimulationError(
+                f"resume_from checkpoint holds {checkpoint.epochs} epochs, "
+                f"more than this run's {epochs}"
+            )
     elif store is not None:
-        checkpoint = store.load(prefix_hash)
+        checkpoint = store.load(prefix_hash, epochs)
     if checkpoint is not None:
         system = restore_system(checkpoint)
+        done = checkpoint.epochs
     else:
         system.run_epochs(warmup_epochs)
+        done = warmup_epochs
         if store is not None:
-            store.save(snapshot_system(system, warmup_epochs, prefix_hash))
-    system.run_epochs(epochs - warmup_epochs)
+            store.save(snapshot_system(system, done, prefix_hash))
+    if done < epochs:
+        system.run_epochs(epochs - done)
+        if store is not None and _default_snapshot_end:
+            store.save(snapshot_system(system, epochs, prefix_hash))
     return system

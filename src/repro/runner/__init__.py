@@ -11,10 +11,11 @@ The nine ``fig*`` experiment modules each expose their grid as
   timeouts, failure isolation, and a sequential fallback;
 * :mod:`repro.runner.cache` — an on-disk result cache keyed by spec
   hash + source fingerprint, so repeated sweeps are near-instant;
-* :mod:`repro.runner.checkpoint` — versioned warm-up snapshots of full
-  simulator state, content-addressed by warm-up prefix hash, so sweep
-  cells sharing a warm-up fork from one checkpoint instead of each
-  re-simulating it (``repro sweep --warm-start``);
+* :mod:`repro.runner.checkpoint` — versioned snapshots of full
+  simulator state, keyed by warm-up prefix hash and epochs simulated,
+  so sweep cells sharing a warm-up fork from the longest stored link of
+  its chain instead of each re-simulating it (``repro sweep
+  --warm-start``);
 * :mod:`repro.runner.bench` — wall-clock / events-per-second benchmarks
   with a committed-baseline regression check (CI's perf smoke test)
   and an append-only ``BENCH_history.jsonl`` perf trajectory.

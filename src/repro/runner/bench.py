@@ -201,10 +201,13 @@ def run_warm_start_bench(
     """Cold vs warm-started sweep wall-clock over one figure's grid.
 
     Times the figure's full sweep twice — cold (every cell simulates its
-    own warm-up) and warm-started (cells fork from a shared checkpoint;
-    the store is populated outside the timed window).  Sequential
-    workers keep the comparison about simulation work, not pool
-    scheduling.  Reports the median of ``repeat`` runs each way and the
+    own warm-up) and warm-started from an empty checkpoint store (the
+    leader snapshots the warm-up, and each cell forks from the longest
+    link of the chain its predecessors left).  The store is emptied
+    before every warm repeat: a pre-populated chain would hold every
+    cell's own end, and the bench would time restores instead of the
+    simulation a first warm-started sweep does.  Sequential workers keep
+    the comparison about simulation work, not pool scheduling.  Reports the median of ``repeat`` runs each way and the
     resulting speedup; warm reports are cross-checked byte-identical to
     cold ones, so a determinism break fails the bench instead of
     flattering it.
@@ -232,19 +235,18 @@ def run_warm_start_bench(
             return wall, None
         return wall, [outcome.result["report"] for outcome in outcomes]
 
-    with tempfile.TemporaryDirectory(prefix="repro-warm-bench-") as tmp:
-        cold_walls: list[float] = []
-        cold_reports: list[str] | None = None
-        for _ in range(repeat):
-            wall, reports = timed_sweep(None)
-            if reports is None:
-                entry.update(ok=False, error="cold sweep cell failed")
-                return entry
-            cold_walls.append(wall)
-            cold_reports = reports
-        timed_sweep(tmp)  # populate the checkpoint store, untimed
-        warm_walls: list[float] = []
-        for _ in range(repeat):
+    cold_walls: list[float] = []
+    cold_reports: list[str] | None = None
+    for _ in range(repeat):
+        wall, reports = timed_sweep(None)
+        if reports is None:
+            entry.update(ok=False, error="cold sweep cell failed")
+            return entry
+        cold_walls.append(wall)
+        cold_reports = reports
+    warm_walls: list[float] = []
+    for _ in range(repeat):
+        with tempfile.TemporaryDirectory(prefix="repro-warm-bench-") as tmp:
             wall, reports = timed_sweep(tmp)
             if reports is None:
                 entry.update(ok=False, error="warm-started sweep cell failed")

@@ -6,7 +6,10 @@ re-simulate the *identical* warm-up prefix from scratch.  This module
 removes that redundancy the way cycle-level simulators do (gem5-style
 SimPoint checkpointing): snapshot the full simulator state at the
 warm-up/measurement boundary once, then fork every measurement run from
-the snapshot.
+the snapshot.  Cells that differ only in how long they run go further:
+a shorter cell's run is an exact prefix of a longer one's, so a run can
+also snapshot its own end, and the next cell forks from that *link* of
+the chain instead of from the warm-up.
 
 The snapshot is a versioned pickle of the entire :class:`~repro.sim.system.System`
 object graph — timing-wheel buckets + overflow heap + sequence counter,
@@ -20,12 +23,13 @@ on restore (see :func:`restore_system`).  A restored run is therefore
 byte-identical to a cold run that simulated the warm-up itself; the
 golden tests in ``tests/experiments/test_warm_start.py`` pin that.
 
-Checkpoints are content-addressed by a **warm-up prefix hash** over
-everything that determines the warm-up trajectory: the full
+Checkpoints are keyed by a **warm-up prefix hash** plus the number of
+epochs simulated.  The hash covers everything that determines the
+trajectory of a freshly built system: the full
 :class:`~repro.sim.config.SystemConfig`, QoS classes and core
 assignments, per-core workload parameters, mechanism parameters, master
 seed, warm-up epoch count, and the source fingerprint.  Two sweep cells
-whose prefixes hash equal share one checkpoint; any source change
+whose prefixes hash equal share every stored link; any source change
 invalidates every checkpoint, exactly like the result cache.
 
 This is the **only** module in the package allowed to import ``pickle``
@@ -68,12 +72,14 @@ __all__ = [
 #: change; old checkpoints then read as misses instead of garbage.
 #: v2: System grew the obs registry (``system.obs``) and the tracer
 #: engine slot — v1 snapshots unpickle without them, so they must miss.
-CHECKPOINT_VERSION = 2
+#: v3: checkpoints are chain links keyed by (prefix hash, epochs); the
+#: metadata's ``warmup_epochs`` became ``epochs``.
+CHECKPOINT_VERSION = 3
 
 DEFAULT_CHECKPOINT_DIR = ".repro-cache/checkpoints"
 
 #: Checkpoints are far larger than result-cache entries (a full system
-#: snapshot is ~1 MB), so the store's LRU cap defaults much lower.
+#: snapshot is ~0.7 MB), so the store's LRU cap defaults much lower.
 DEFAULT_MAX_CHECKPOINTS = 64
 
 
@@ -165,23 +171,28 @@ def warmup_prefix_hash(system: "System", warmup_epochs: int) -> str:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Checkpoint:
-    """One warm-up snapshot: metadata plus the pickled system graph.
+    """One chain link: metadata plus the pickled system graph.
+
+    A link is keyed by ``(prefix_hash, epochs)``: the system a fresh
+    build of that prefix reaches after ``epochs`` whole QoS epochs.  The
+    warm-up snapshot is the first link of its chain; a run that
+    snapshots its own end adds a longer one.
 
     ``payload`` holds only the pickled :class:`System` graph; the
-    metadata (version, prefix hash, request-id watermark, boundary
-    cycle) lives in the dataclass fields, and on disk in a small
-    separate pickle stream *ahead of* the payload.  Keeping them apart
-    means a store lookup decodes a few dozen bytes of metadata, not the
-    ~1 MB object graph — restoring is the only full decode, and every
-    :func:`restore_system` call unpickles the payload afresh, so a
-    single checkpoint forks any number of independent measurement runs.
+    metadata (version, prefix hash, epochs, request-id watermark,
+    boundary cycle) lives in the dataclass fields, and on disk in a
+    small separate pickle stream *ahead of* the payload.  Keeping them
+    apart means a store lookup decodes a few dozen bytes of metadata,
+    not the ~0.7 MB object graph — restoring is the only full decode,
+    and every :func:`restore_system` call unpickles the payload afresh,
+    so a single link forks any number of independent runs.
     """
 
     prefix_hash: str
     payload: bytes
     version: int
     fingerprint: str
-    warmup_epochs: int
+    epochs: int
     boundary_cycle: int
     request_id_watermark: int
 
@@ -191,23 +202,24 @@ class Checkpoint:
             "version": self.version,
             "prefix_hash": self.prefix_hash,
             "fingerprint": self.fingerprint,
-            "warmup_epochs": self.warmup_epochs,
+            "epochs": self.epochs,
             "boundary_cycle": self.boundary_cycle,
             "request_id_watermark": self.request_id_watermark,
         }
 
 
 def snapshot_system(
-    system: "System", warmup_epochs: int, prefix_hash: str | None = None
+    system: "System", epochs: int, prefix_hash: str | None = None
 ) -> Checkpoint:
-    """Snapshot a system standing at its warm-up/measurement boundary.
+    """Snapshot a system standing on the boundary after ``epochs`` epochs.
 
     Pickling captures the complete object graph (pickle's memo preserves
     the shared references — the same Core object reachable from the
     system dict and a controller's fusion table stays one object on
     restore).  The request-id watermark is recorded so the restoring
     process can re-establish the global id order scheduler tie-breaks
-    depend on.
+    depend on.  Take the snapshot before ``finalize()``: a link is
+    mid-run state that a longer run continues from.
     """
     if prefix_hash is None:
         raise ValueError(
@@ -221,7 +233,7 @@ def snapshot_system(
         payload=payload,
         version=CHECKPOINT_VERSION,
         fingerprint=source_fingerprint(),
-        warmup_epochs=warmup_epochs,
+        epochs=epochs,
         boundary_cycle=system.engine.now,
         request_id_watermark=watermark,
     )
@@ -274,12 +286,12 @@ def restore_system(checkpoint: Checkpoint) -> "System":
 # on-disk store
 # ----------------------------------------------------------------------
 class CheckpointStore:
-    """Prefix-hash addressed store of warm-up checkpoints with LRU caps.
+    """Store of chain links, one file per ``(prefix hash, epochs)``.
 
     Layout mirrors :class:`~repro.runner.cache.ResultCache`: one file
-    per entry, atomic rename on save, corruption reads as a miss.  The
-    source fingerprint lives *inside* the prefix hash, so stale
-    checkpoints simply never match and are eventually evicted.
+    per entry, atomic rename on save, corruption reads as a miss, LRU
+    cap.  The source fingerprint lives *inside* the prefix hash, so
+    stale checkpoints simply never match and are eventually evicted.
     """
 
     def __init__(
@@ -292,17 +304,40 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.max_entries = max_entries
 
-    def _path(self, prefix_hash: str) -> Path:
-        return self.directory / f"{prefix_hash}.ckpt"
+    def _path(self, prefix_hash: str, epochs: int) -> Path:
+        return self.directory / f"{prefix_hash}-{epochs}.ckpt"
 
-    def load(self, prefix_hash: str) -> Checkpoint | None:
-        """The stored checkpoint, or None on miss/corruption/version skew.
+    def _link_epochs(self, prefix_hash: str) -> list[int]:
+        """Epoch counts of the stored links of one prefix, longest first."""
+        epochs = []
+        for path in self.directory.glob(f"{prefix_hash}-*.ckpt"):
+            count = path.stem.rpartition("-")[2]
+            if count.isdigit():
+                epochs.append(int(count))
+        return sorted(epochs, reverse=True)
 
-        Only the small metadata header is decoded here (the system
-        payload stays opaque bytes until :func:`restore_system`), so a
-        validating lookup costs microseconds, not a full graph decode.
+    def load(
+        self, prefix_hash: str, max_epochs: int | None = None
+    ) -> Checkpoint | None:
+        """The longest valid link of a prefix with at most ``max_epochs``
+        epochs (any length when None), or None.
+
+        A link that is unreadable, corrupt, version-skewed or stale
+        reads as a miss and the next shorter link is tried.  Only the
+        small metadata header is decoded here (the system payload stays
+        opaque bytes until :func:`restore_system`), so a validating
+        lookup costs microseconds, not a full graph decode.
         """
-        path = self._path(prefix_hash)
+        for epochs in self._link_epochs(prefix_hash):
+            if max_epochs is not None and epochs > max_epochs:
+                continue
+            checkpoint = self._load_link(prefix_hash, epochs)
+            if checkpoint is not None:
+                return checkpoint
+        return None
+
+    def _load_link(self, prefix_hash: str, epochs: int) -> Checkpoint | None:
+        path = self._path(prefix_hash, epochs)
         try:
             raw = path.read_bytes()
         except OSError:
@@ -313,7 +348,7 @@ class CheckpointStore:
             payload = raw[stream.tell() :]
             version = meta["version"]
             fingerprint = meta["fingerprint"]
-            warmup_epochs = meta["warmup_epochs"]
+            stored_epochs = meta["epochs"]
             boundary_cycle = meta["boundary_cycle"]
             watermark = meta["request_id_watermark"]
             stored_hash = meta["prefix_hash"]
@@ -321,7 +356,7 @@ class CheckpointStore:
             return None
         if version != CHECKPOINT_VERSION or stored_hash != prefix_hash:
             return None
-        if fingerprint != source_fingerprint():
+        if stored_epochs != epochs or fingerprint != source_fingerprint():
             return None
         if not payload:
             return None
@@ -339,19 +374,19 @@ class CheckpointStore:
             payload=payload,
             version=version,
             fingerprint=fingerprint,
-            warmup_epochs=warmup_epochs,
+            epochs=epochs,
             boundary_cycle=boundary_cycle,
             request_id_watermark=watermark,
         )
 
     def save(self, checkpoint: Checkpoint) -> Path:
-        """Persist one checkpoint; atomic via rename; evicts LRU extras.
+        """Persist one link; atomic via rename; evicts LRU extras.
 
         File layout: a pickled metadata dict immediately followed by
         the pickled system graph (two concatenated pickle streams).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._path(checkpoint.prefix_hash)
+        path = self._path(checkpoint.prefix_hash, checkpoint.epochs)
         tmp = path.with_suffix(f".tmp-{os.getpid()}")
         with tmp.open("wb") as handle:
             handle.write(

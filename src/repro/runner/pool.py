@@ -43,40 +43,41 @@ def _failure(kind: str, detail: str) -> dict:
     return {"ok": False, "error": f"{kind}: {detail}"}
 
 
-def _payload(spec: RunSpec, warm_start_dir: str | None) -> dict:
+def _payload(
+    spec: RunSpec, warm_start_dir: str | None, snapshot_end: bool = False
+) -> dict:
     payload = spec.to_payload()
     if warm_start_dir is not None:
         payload["warm_start_dir"] = warm_start_dir
+        if snapshot_end:
+            payload["snapshot_end"] = True
     return payload
 
 
 def _run_sequential(
     specs: Sequence[RunSpec],
+    payloads: Sequence[dict],
     progress: Callable[[str], None] | None,
-    warm_start_dir: str | None = None,
 ) -> list[dict]:
     results = []
-    for spec in specs:
+    for spec, payload in zip(specs, payloads):
         if progress is not None:
             progress(f"run  {spec.label()}")
-        results.append(execute_payload(_payload(spec, warm_start_dir)))
+        results.append(execute_payload(payload))
     return results
 
 
 def _run_pool(
     specs: Sequence[RunSpec],
+    payloads: Sequence[dict],
     workers: int,
     timeout: float | None,
     progress: Callable[[str], None] | None,
-    warm_start_dir: str | None = None,
 ) -> list[dict]:
     results: list[dict | None] = [None] * len(specs)
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(execute_payload, _payload(spec, warm_start_dir))
-                for spec in specs
-            ]
+            futures = [pool.submit(execute_payload, payload) for payload in payloads]
             for index, (spec, future) in enumerate(zip(specs, futures)):
                 try:
                     results[index] = future.result(timeout=timeout)
@@ -97,9 +98,9 @@ def _run_pool(
         # the unresolved specs sequentially in this process.
         if progress is not None:
             progress("process pool broke; falling back to sequential execution")
-        for index, spec in enumerate(specs):
+        for index, payload in enumerate(payloads):
             if results[index] is None:
-                results[index] = execute_payload(_payload(spec, warm_start_dir))
+                results[index] = execute_payload(payload)
     return [
         result if result is not None else _failure("internal", "no result")
         for result in results
@@ -108,14 +109,14 @@ def _run_pool(
 
 def _run_batch(
     specs: Sequence[RunSpec],
+    payloads: Sequence[dict],
     workers: int,
     timeout: float | None,
     progress: Callable[[str], None] | None,
-    warm_start_dir: str | None,
 ) -> list[dict]:
     if workers > 1 and len(specs) > 1:
-        return _run_pool(specs, workers, timeout, progress, warm_start_dir)
-    return _run_sequential(specs, progress, warm_start_dir)
+        return _run_pool(specs, payloads, workers, timeout, progress)
+    return _run_sequential(specs, payloads, progress)
 
 
 def _run_warm_batched(
@@ -133,30 +134,45 @@ def _run_warm_batched(
     now-populated store.  Without the barrier between waves, followers
     racing their leader would each cold-simulate the same prefix and
     the sweep would pay warm-up N times after all.
+
+    Every run that still has a later cell of its group to run also
+    snapshots its end, so cells fork from the longest link of the chain
+    that fits them, not just from the warm-up.  Running a group's cells
+    shortest first (as ``sweep_cells`` grids list them) makes every
+    cell simulate only the epochs beyond its predecessor's.
     """
-    leaders: list[tuple[int, RunSpec]] = []
-    followers: list[tuple[int, RunSpec]] = []
+    groups = [spec.warmup_group_key() for _, spec in misses]
+    leaders: list[int] = []
+    followers: list[int] = []
     seen_groups: set[str] = set()
-    for position, (index, spec) in enumerate(misses):
-        group = spec.warmup_group_key()
+    for position, group in enumerate(groups):
         if group in seen_groups:
-            followers.append((position, spec))
+            followers.append(position)
         else:
             seen_groups.add(group)
-            leaders.append((position, spec))
+            leaders.append(position)
     if progress is not None and followers:
         progress(
             f"warm-start: {len(leaders)} warm-up prefix(es) for "
             f"{len(misses)} cells"
         )
+    # a run snapshots its end iff a cell of its group runs after it
+    snapshot_end = [False] * len(misses)
+    later: set[str] = set()
+    for position in reversed(leaders + followers):
+        snapshot_end[position] = groups[position] in later
+        later.add(groups[position])
     results: list[dict | None] = [None] * len(misses)
     for wave in (leaders, followers):
         if not wave:
             continue
-        wave_results = _run_batch(
-            [spec for _, spec in wave], workers, timeout, progress, warm_start_dir
-        )
-        for (position, _), result in zip(wave, wave_results):
+        specs = [misses[position][1] for position in wave]
+        payloads = [
+            _payload(spec, warm_start_dir, snapshot_end[position])
+            for spec, position in zip(specs, wave)
+        ]
+        wave_results = _run_batch(specs, payloads, workers, timeout, progress)
+        for position, result in zip(wave, wave_results):
             results[position] = result
     return [
         result if result is not None else _failure("internal", "no result")
@@ -181,7 +197,8 @@ def run_specs(
     With ``warm_start_dir``, cache misses run through the checkpoint
     store in that directory: one leader per warm-up group simulates and
     snapshots its warm-up prefix, then the group's remaining cells fork
-    from the snapshot (see :meth:`RunSpec.warmup_group_key`).
+    from the longest stored link of that prefix's chain (see
+    :meth:`RunSpec.warmup_group_key`).
     """
     fingerprint = source_fingerprint()
     outcomes: dict[int, SweepOutcome] = {}
@@ -207,9 +224,8 @@ def run_specs(
                 misses, workers, timeout, progress, warm_start_dir
             )
         else:
-            results = _run_batch(
-                miss_specs, workers, timeout, progress, warm_start_dir
-            )
+            payloads = [_payload(spec, warm_start_dir) for spec in miss_specs]
+            results = _run_batch(miss_specs, payloads, workers, timeout, progress)
         for (index, spec), result in zip(misses, results):
             outcomes[index] = SweepOutcome(spec=spec, result=result, cached=False)
             if cache is not None and result.get("ok"):

@@ -46,13 +46,19 @@ def execute_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
 
     A ``warm_start_dir`` key in the payload (set by the pool's
     warm-start batching, not part of the spec's content hash) routes
-    the run through that directory's checkpoint store.
+    the run through that directory's checkpoint store; a true
+    ``snapshot_end`` key (set when a later cell of the same warm-up
+    group is still to run) makes the run store its end state too.
     """
     from repro.runner.spec import RunSpec
 
     spec = RunSpec.from_payload(payload)
     try:
-        return execute_spec(spec, warm_start_dir=payload.get("warm_start_dir"))
+        return execute_spec(
+            spec,
+            warm_start_dir=payload.get("warm_start_dir"),
+            snapshot_end=bool(payload.get("snapshot_end")),
+        )
     except Exception as exc:  # noqa: BLE001 - isolation is the point
         return {
             "ok": False,
@@ -61,7 +67,9 @@ def execute_payload(payload: Mapping[str, Any]) -> dict[str, Any]:
         }
 
 
-def execute_spec(spec: "Any", warm_start_dir: str | None = None) -> dict[str, Any]:
+def execute_spec(
+    spec: "Any", warm_start_dir: str | None = None, snapshot_end: bool = False
+) -> dict[str, Any]:
     """Run one :class:`RunSpec` in-process and time it."""
     from contextlib import nullcontext
 
@@ -77,7 +85,7 @@ def execute_spec(spec: "Any", warm_start_dir: str | None = None) -> dict[str, An
     if warm_start_dir is not None:
         from repro.runner.checkpoint import CheckpointStore
 
-        warming = warm_start(CheckpointStore(warm_start_dir))
+        warming = warm_start(CheckpointStore(warm_start_dir), snapshot_end)
     else:
         warming = nullcontext()
     module = figure_module(spec.figure)

@@ -52,6 +52,14 @@ class AddressMap:
         #: line -> (slice, mc, bank, row) memo.
         self._decoded: dict[int, tuple[int, int, int, int]] = {}
 
+    def __getstate__(self) -> dict:
+        # The memo is a pure function of the line, so a checkpoint drops
+        # it rather than carry one entry per line a stream has touched;
+        # the restored map refills it on demand.
+        state = self.__dict__.copy()
+        state["_decoded"] = {}
+        return state
+
     @property
     def num_mcs(self) -> int:
         return self._num_mcs

@@ -75,7 +75,7 @@ class TestRegistry:
         system.run_epochs(2)
         before = system.obs.snapshot()
         assert before["counters"]["stats.requests_enqueued"] > 0
-        checkpoint = snapshot_system(system, warmup_epochs=2, prefix_hash="x")
+        checkpoint = snapshot_system(system, epochs=2, prefix_hash="x")
         restored = restore_system(checkpoint)
         # restored counters resume from the snapshot, not from zero
         assert restored.obs.snapshot() == before

@@ -188,7 +188,7 @@ def test_restore_rejects_corrupt_payload():
         payload=b"not a pickle",
         version=CHECKPOINT_VERSION,
         fingerprint="",
-        warmup_epochs=WARMUP,
+        epochs=WARMUP,
         boundary_cycle=0,
         request_id_watermark=0,
     )
@@ -313,3 +313,43 @@ def test_store_clear_and_stats(tmp_path):
     assert stats["bytes"] > 0
     assert store.clear() == 1
     assert len(store) == 0
+
+
+def make_chain(store, ends=(5, 7)):
+    """Store the warm-up link and one link per run end in ``ends``."""
+    system = tiny_system()
+    prefix = warmup_prefix_hash(system, WARMUP)
+    done = 0
+    for epochs in (WARMUP, *ends):
+        system.run_epochs(epochs - done)
+        store.save(snapshot_system(system, epochs, prefix))
+        done = epochs
+    return prefix
+
+
+def test_store_loads_the_longest_link_that_fits(tmp_path):
+    store = CheckpointStore(tmp_path)
+    prefix = make_chain(store)
+    assert len(store) == 3
+    assert store.load(prefix).epochs == 7
+    assert store.load(prefix, 8).epochs == 7
+    assert store.load(prefix, 6).epochs == 5
+    assert store.load(prefix, WARMUP).epochs == WARMUP
+    assert store.load(prefix, WARMUP - 1) is None
+
+
+def test_store_falls_back_past_a_corrupt_link(tmp_path):
+    store = CheckpointStore(tmp_path)
+    prefix = make_chain(store)
+    store._path(prefix, 7).write_bytes(b"garbage")
+    assert store.load(prefix).epochs == 5
+
+
+def test_chained_link_forks_like_a_cold_run(tmp_path):
+    cold = tiny_system()
+    cold.run_epochs(TOTAL)
+    store = CheckpointStore(tmp_path)
+    prefix = make_chain(store)
+    forked = restore_system(store.load(prefix, TOTAL))
+    forked.run_epochs(TOTAL - 7)
+    assert machine_state(forked) == machine_state(cold)

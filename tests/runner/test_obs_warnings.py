@@ -49,7 +49,7 @@ def make_checkpoint(warmup=1):
         prefix_hash=f"{warmup:016x}",
         payload=b"payload",
         boundary_cycle=100,
-        warmup_epochs=warmup,
+        epochs=warmup,
         request_id_watermark=10,
         fingerprint=checkpoint_module.source_fingerprint(),
         version=CHECKPOINT_VERSION,

@@ -92,9 +92,26 @@ class TestWarmStartSweep:
         )
         assert base.warmup_group_key() != tweaked.warmup_group_key()
 
-    def test_warm_started_sweep_matches_cold(self, tmp_path):
+    def test_warm_started_sweep_matches_cold(self, tmp_path, monkeypatch):
+        import repro.runner.checkpoint as ckpt
+
+        saved: list[int] = []
+        restored: list[int] = []
+        original_snapshot = ckpt.snapshot_system
+        original_restore = ckpt.restore_system
+
+        def recording_snapshot(system, epochs, prefix_hash=None):
+            saved.append(epochs)
+            return original_snapshot(system, epochs, prefix_hash)
+
+        def recording_restore(checkpoint):
+            restored.append(checkpoint.epochs)
+            return original_restore(checkpoint)
+
         specs = self._specs([5, 8, 11])
         cold = run_specs(specs, workers=1)
+        monkeypatch.setattr(ckpt, "snapshot_system", recording_snapshot)
+        monkeypatch.setattr(ckpt, "restore_system", recording_restore)
         warm = run_specs(
             specs, workers=1, warm_start_dir=str(tmp_path / "ckpt")
         )
@@ -104,10 +121,52 @@ class TestWarmStartSweep:
             assert (
                 warm_outcome.result["report"] == cold_outcome.result["report"]
             )
-        # all three cells shared one warm-up prefix -> one checkpoint
+        # quick fig05 warms up for 25 epochs: the warm-up is simulated
+        # and stored once, cell 5 stores its end (30), cell 8 forks from
+        # it and stores its own end (33), and cell 11 forks from that;
+        # the last cell of the group stores nothing
+        assert saved == [25, 30, 33]
+        assert restored == [30, 33]
+
+
+    def _stored_link(self, directory):
+        """The one stored link: its path, file bytes and header length."""
         from repro.runner.checkpoint import CheckpointStore
 
-        assert len(CheckpointStore(tmp_path / "ckpt")) == 1
+        (path,) = directory.glob("*.ckpt")
+        raw = path.read_bytes()
+        prefix_hash = path.stem.rpartition("-")[0]
+        payload = CheckpointStore(directory).load(prefix_hash).payload
+        return path, raw, len(raw) - len(payload)
+
+    def test_truncated_link_payload_fails_loudly(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        specs = self._specs([5])
+        (first,) = run_specs(specs, workers=1, warm_start_dir=str(directory))
+        assert first.ok
+        path, raw, header = self._stored_link(directory)
+        payload_bytes = len(raw) - header
+        path.write_bytes(raw[: header + payload_bytes // 2])
+        # the header still validates, so the cell forks from the link and
+        # must fail at restore rather than report from a broken machine
+        (broken,) = run_specs(specs, workers=1, warm_start_dir=str(directory))
+        assert not broken.ok
+        assert broken.error.startswith("SimulationError")
+        assert "does not unpickle" in broken.error
+        assert "report" not in broken.result
+
+    def test_truncated_link_header_reads_as_a_miss(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        specs = self._specs([5])
+        (first,) = run_specs(specs, workers=1, warm_start_dir=str(directory))
+        path, raw, header = self._stored_link(directory)
+        path.write_bytes(raw[: header // 2])
+        (again,) = run_specs(specs, workers=1, warm_start_dir=str(directory))
+        assert again.ok
+        assert again.result["report"] == first.result["report"]
+        # the recomputed warm-up replaced the truncated link
+        _, _, rewritten_header = self._stored_link(directory)
+        assert rewritten_header > header // 2
 
 
 class TestParallelSweep:

@@ -50,6 +50,21 @@ class TestAddressMap:
         far = 1 << 30
         assert address_map.row_of(far) > 0
 
+    def test_checkpointed_state_drops_the_decode_memo(self):
+        """The memo is pure, so snapshots leave it out and lose nothing."""
+        import copy
+
+        address_map, _ = make_map()
+        addrs = [i * 64 for i in range(512)] + [1 << 30, (1 << 34) + 192]
+        original = [address_map.decode(addr) for addr in addrs]
+        assert address_map._decoded  # the live map keeps its memo
+        assert address_map.__getstate__()["_decoded"] == {}
+        # deepcopy round-trips through __getstate__, as pickling does
+        restored = copy.deepcopy(address_map)
+        assert restored._decoded == {}
+        assert [restored.decode(addr) for addr in addrs] == original
+        assert len(address_map._decoded) == len(restored._decoded)
+
 
 class TestMeshTopology:
     def test_tile_coordinates_cover_grid(self):
