@@ -1,17 +1,18 @@
 """Runtime-selected compiled backend for the simulation hot core.
 
-Two interchangeable backends execute the timing-wheel dispatch loops and
-the memory-controller ready scans:
+Two interchangeable backends execute the timing wheel's ``run_until``
+dispatch loop and the hot event callbacks it dispatches:
 
 ``pure``
-    The reference implementation in :mod:`repro.sim.engine` /
-    :mod:`repro.dram.controller`.  Always available, never modified by
-    backend selection, and the implementation every determinism argument
-    is written against.
+    The reference implementation in :mod:`repro.sim.engine` and the
+    model packages.  Always available, never modified by backend
+    selection, and the implementation every determinism argument is
+    written against.
 ``c``
     A hand-written CPython extension (:mod:`repro.accel.build` compiles
-    ``_wheelcore.c`` locally) whose loops are line-for-line ports of the
-    pure ones.  Reports are byte-identical; only wall-clock changes.
+    ``_wheelcore.c`` locally) whose dispatch loop and native event kinds
+    (:mod:`repro.accel.native`) are line-for-line ports of the pure
+    code.  Reports are byte-identical; only wall-clock changes.
 
 Selection is process-global and explicit: the library default is
 ``pure`` (overridable with the ``REPRO_ACCEL`` environment variable),
@@ -42,7 +43,6 @@ __all__ = [
     "active_backend",
     "backend",
     "build_fingerprint",
-    "controller_kernels",
     "core",
     "core_dispatched_total",
     "engine_class",
@@ -159,8 +159,8 @@ def fastpath_stats() -> dict:
 
     ``{"hits": int, "misses": int, "kinds": {tag: hits}}`` — hits are
     events a registered C kind handler executed without entering the
-    interpreter; misses fell back to the Python callback path.  Pure
-    dispatch loops count neither.
+    interpreter; misses fell back to the Python callback path.  The pure
+    dispatch loop counts neither.
     """
     if _core is None:
         return {"hits": 0, "misses": 0, "kinds": {}}
@@ -191,13 +191,3 @@ def make_engine(seed: int = 0):
     """Build an engine of the active backend (the System factory hook)."""
     return engine_class()(seed)
 
-
-def controller_kernels():
-    """The compiled controller-kernel module, or None under ``pure``.
-
-    Controllers bind this at construction; a None binding selects the
-    pure-Python ready scans.
-    """
-    if active_backend() == "c":
-        return _core
-    return None

@@ -1,17 +1,17 @@
 /* _wheelcore.c — compiled dispatch core for the repro timing wheel.
  *
- * This extension reimplements the two hot dispatch loops of
- * repro.sim.engine.TimingWheel (run_until, run) plus the memory
- * controller's bank-ready/row-hit scan, behind a base type the Python
- * backend classes subclass.  It is a *mirror*, not a redesign: every
- * loop below is a line-for-line port of the pure-Python reference, and
- * the determinism contract is byte-identical dispatch order — see
- * DESIGN.md §12 for the argument.
+ * This extension reimplements the dispatch loop of
+ * repro.sim.engine.TimingWheel (run_until) behind a base type the Python
+ * backend classes subclass, plus C twins of the hottest event callbacks
+ * (the native kinds, see repro.accel.native).  It is a *mirror*, not a
+ * redesign: every loop below is a line-for-line port of the pure-Python
+ * reference, and the determinism contract is byte-identical dispatch
+ * order — see DESIGN.md §12 for the argument.
  *
  * Marshal compatibility: all scheduler state lives in Python-visible
  * members (plain lists for the wheel/overflow, C long longs for the
  * counters, exposed as attributes with the exact names the pure class
- * uses).  The pure-Python scheduling entry points (schedule/post/...),
+ * uses).  The pure-Python scheduling entry points (post/post_at/...),
  * the sanitizer, the checkpoint pickler, and the inlined wheel inserts
  * in system.py/controller.py therefore operate on a WheelCore instance
  * unchanged, and wheel state moves losslessly between backends.
@@ -48,7 +48,6 @@ static long long g_fp_hits = 0;
 static long long g_fp_misses = 0;
 
 /* interned attribute / method names */
-static PyObject *s_cancelled, *s_fired, *s_callback, *s_args;
 static PyObject *s_as_cycles, *s_on_event, *s_deadline_word;
 static PyObject *s_bank_id, *s_row_id, *s_open_page, *s_open_row;
 static PyObject *s_prep_hit, *s_prep_miss;
@@ -313,7 +312,6 @@ typedef struct {
     long long wheel_pos;
     long long horizon;
     long long wheel_count;
-    long long live;
     long long dispatched;
     long long fastpath_hits;    /* events run by a native kind handler  */
     long long fastpath_misses;  /* events that bounced back into Python */
@@ -327,8 +325,7 @@ typedef struct {
 /* Native fast path (implementation after the controller kernels):
  * returns 1 when a registered kind handler ran the callback natively,
  * 0 to fall back to the Python call path, -1 on error.  Counts its own
- * hits and misses; Event-shaped entries never reach it, so their fires
- * are counted as misses at the call sites. */
+ * hits and misses. */
 static int native_dispatch(WheelCore *self, PyObject *cb, PyObject *args);
 
 static int
@@ -384,23 +381,21 @@ core_refill(WheelCore *self)
     return 0;
 }
 
-/* Insert a fused chain's continuation: mirror of the pure loops' inline
- * block.  `horizon` is the caller's view (local variable in run_until,
- * self->horizon in run), matching the pure code exactly. */
+/* Insert a fused chain's continuation: mirror of the inline block in
+ * the pure TimingWheel._drain (self->horizon is pos + WHEEL_SIZE while
+ * a bucket dispatches). */
 static int
-chain_continue(WheelCore *self, PyObject *entry, long long pos,
-               long long horizon)
+chain_continue(WheelCore *self, PyObject *entry, long long pos)
 {
     long long link_delay;
     if (ll_from(PyList_GET_ITEM(entry, 2), &link_delay) < 0)
         return -1;
     long long when2 = pos + link_delay;
-    self->live += 1;
     PyObject *cont = PyTuple_Pack(2, PyList_GET_ITEM(entry, 3),
                                   PyList_GET_ITEM(entry, 4));
     if (cont == NULL)
         return -1;
-    if (when2 < horizon) {
+    if (when2 < self->horizon) {
         PyObject *bucket =
             PyList_GET_ITEM(self->wheel, (Py_ssize_t)(when2 & WHEEL_MASK));
         int rc = PyList_Append(bucket, cont);
@@ -427,36 +422,6 @@ chain_continue(WheelCore *self, PyObject *entry, long long pos,
     return rc;
 }
 
-/* Dispatch one Event-shaped entry.  Returns 1 if it fired, 0 if it was
- * cancelled (skipped), -1 on error. */
-static int
-dispatch_event(PyObject *entry)
-{
-    PyObject *flag = PyObject_GetAttr(entry, s_cancelled);
-    if (flag == NULL)
-        return -1;
-    int cancelled = PyObject_IsTrue(flag);
-    Py_DECREF(flag);
-    if (cancelled < 0)
-        return -1;
-    if (cancelled)
-        return 0;
-    if (PyObject_SetAttr(entry, s_fired, Py_True) < 0)
-        return -1;
-    PyObject *callback = PyObject_GetAttr(entry, s_callback);
-    if (callback == NULL)
-        return -1;
-    PyObject *args = PyObject_GetAttr(entry, s_args);
-    if (args == NULL) {
-        Py_DECREF(callback);
-        return -1;
-    }
-    int rc = call_callback(callback, args);
-    Py_DECREF(callback);
-    Py_DECREF(args);
-    return rc < 0 ? -1 : 1;
-}
-
 static int
 sanitizer_on_event(PyObject *sanitizer, long long when, long long prev)
 {
@@ -480,103 +445,48 @@ sanitizer_on_event(PyObject *sanitizer, long long when, long long prev)
 
 /* Dispatch every entry of one bucket list for cycle `pos`, picking up
  * same-cycle appends (list-iterator semantics: the size is re-read every
- * step).  Mirrors one `for entry in bucket:` loop of run_until.
- *
- * On success *dispatched_out has been advanced exactly as the pure loop
- * advances its local `dispatched`; *prev_io carries the sanitizer's
- * previous-dispatch clock across buckets.  Returns -1 on error. */
+ * step).  Mirrors TimingWheel._drain; *prev_io carries the sanitizer's
+ * previous-dispatch clock across the two phases.  Returns -1 on error. */
 static int
 dispatch_bucket(WheelCore *self, PyObject *bucket, long long pos,
-                long long horizon, PyObject *sanitizer,
-                long long *dispatched_out, long long *prev_io)
+                PyObject *sanitizer, long long *prev_io)
 {
-    long long skipped = 0;
-    long long count = 0;
     Py_ssize_t index = 0;
     while (index < PyList_GET_SIZE(bucket)) {
         PyObject *entry = PyList_GET_ITEM(bucket, index);
-        Py_INCREF(entry);
         index++;
-        if (PyTuple_CheckExact(entry)) {
-            if (sanitizer != NULL) {
-                if (sanitizer_on_event(sanitizer, pos, *prev_io) < 0)
-                    goto fail;
-                *prev_io = pos;
-            }
-            int handled = native_dispatch(self, PyTuple_GET_ITEM(entry, 0),
-                                          PyTuple_GET_ITEM(entry, 1));
+        int is_list = PyList_CheckExact(entry);
+        if (!is_list && !PyTuple_CheckExact(entry)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "wheel entry is neither a (callback, args) "
+                            "tuple nor a chain list");
+            return -1;
+        }
+        /* the entry stays alive even if a callback clears the bucket */
+        Py_INCREF(entry);
+        int rc = 0;
+        if (sanitizer != NULL) {
+            rc = sanitizer_on_event(sanitizer, pos, *prev_io);
+            *prev_io = pos;
+        }
+        PyObject *cb = is_list ? PyList_GET_ITEM(entry, 0)
+                               : PyTuple_GET_ITEM(entry, 0);
+        PyObject *cb_args = is_list ? PyList_GET_ITEM(entry, 1)
+                                    : PyTuple_GET_ITEM(entry, 1);
+        if (rc == 0) {
+            int handled = native_dispatch(self, cb, cb_args);
             if (handled < 0)
-                goto fail;
-            if (!handled &&
-                call_callback(PyTuple_GET_ITEM(entry, 0),
-                              PyTuple_GET_ITEM(entry, 1)) < 0)
-                goto fail;
-            count++;
+                rc = -1;
+            else if (!handled)
+                rc = call_callback(cb, cb_args);
         }
-        else if (PyList_CheckExact(entry)) {
-            if (sanitizer != NULL) {
-                if (sanitizer_on_event(sanitizer, pos, *prev_io) < 0)
-                    goto fail;
-                *prev_io = pos;
-            }
-            int handled = native_dispatch(self, PyList_GET_ITEM(entry, 0),
-                                          PyList_GET_ITEM(entry, 1));
-            if (handled < 0)
-                goto fail;
-            if (!handled &&
-                call_callback(PyList_GET_ITEM(entry, 0),
-                              PyList_GET_ITEM(entry, 1)) < 0)
-                goto fail;
-            if (chain_continue(self, entry, pos, horizon) < 0)
-                goto fail;
-            count++;
-        }
-        else {
-            if (sanitizer != NULL) {
-                /* sanitized loop checks `cancelled` before on_event */
-                PyObject *flag = PyObject_GetAttr(entry, s_cancelled);
-                if (flag == NULL)
-                    goto fail;
-                int cancelled = PyObject_IsTrue(flag);
-                Py_DECREF(flag);
-                if (cancelled < 0)
-                    goto fail;
-                if (cancelled) {
-                    Py_DECREF(entry);
-                    continue;
-                }
-                if (sanitizer_on_event(sanitizer, pos, *prev_io) < 0)
-                    goto fail;
-                *prev_io = pos;
-            }
-            int fired = dispatch_event(entry);
-            if (fired < 0)
-                goto fail;
-            if (fired) {
-                /* Event entries have no kind tag: always a miss */
-                self->fastpath_misses += 1;
-                g_fp_misses += 1;
-                count++;
-            }
-            else
-                skipped++;
-        }
+        if (rc == 0 && is_list)
+            rc = chain_continue(self, entry, pos);
         Py_DECREF(entry);
+        if (rc < 0)
+            return -1;
     }
-    /* settle per bucket, matching `dispatched += len(bucket) - skipped`
-     * (the final length covers same-cycle appends; every appended entry
-     * was also dispatched by the loop above) */
-    if (sanitizer == NULL)
-        *dispatched_out += PyList_GET_SIZE(bucket) - skipped;
-    else
-        *dispatched_out += count;
     return 0;
-fail:
-    /* the pure loop's per-entry `dispatched += 1` settlement is what the
-     * finally block sees on an exception: entries fully dispatched before
-     * the failing one still count */
-    *dispatched_out += count;
-    return -1;
 }
 
 static PyObject *
@@ -682,15 +592,14 @@ WheelCore_run_until(WheelCore *self, PyObject *arg)
         }
         /* ---- dispatch every entry at cycle `pos` ---- */
         self->wheel_pos = pos;
-        long long horizon = pos + WHEEL_SIZE;
-        self->horizon = horizon;
+        self->horizon = pos + WHEEL_SIZE;
         long long prev = self->now;
         self->now = pos;
-        if (dispatch_bucket(self, bucket, pos, horizon, sanitizer,
-                            &dispatched, &prev) < 0) {
+        if (dispatch_bucket(self, bucket, pos, sanitizer, &prev) < 0) {
             failed = 1;
             goto settle;
         }
+        dispatched += PyList_GET_SIZE(bucket);
         self->wheel_count -= PyList_GET_SIZE(bucket);
         if (PyList_SetSlice(bucket, 0, PyList_GET_SIZE(bucket), NULL) < 0) {
             failed = 1;
@@ -704,8 +613,7 @@ WheelCore_run_until(WheelCore *self, PyObject *arg)
             Py_INCREF(bucket); /* keep alive across the swap */
             Py_INCREF(late);
             PyList_SetItem(wheel, slot, late); /* steals; drops bucket */
-            if (dispatch_bucket(self, late, pos, horizon, sanitizer,
-                                &dispatched, &prev) < 0) {
+            if (dispatch_bucket(self, late, pos, sanitizer, &prev) < 0) {
                 /* mirror pure control flow: the finally block does not
                  * restore the swapped slot on an exception */
                 Py_DECREF(late);
@@ -713,6 +621,7 @@ WheelCore_run_until(WheelCore *self, PyObject *arg)
                 failed = 1;
                 goto settle;
             }
+            dispatched += PyList_GET_SIZE(late);
             self->wheel_count -= PyList_GET_SIZE(late);
             if (PyList_SetSlice(late, 0, PyList_GET_SIZE(late), NULL) < 0) {
                 Py_DECREF(late);
@@ -749,7 +658,6 @@ WheelCore_run_until(WheelCore *self, PyObject *arg)
 
 settle:
     /* the pure loop's finally block */
-    self->live -= dispatched;
     self->dispatched += dispatched;
     g_dispatched_total += dispatched;
     Py_DECREF(wheel);
@@ -761,243 +669,14 @@ settle:
     if (self->now < deadline)
         self->now = deadline;
     if (self->wheel_pos < deadline) {
+        /* the window slides without dispatching: refill before a post
+         * can overtake an earlier overflow entry for the same cycle */
         self->wheel_pos = deadline;
         self->horizon = deadline + WHEEL_SIZE;
+        if (core_refill(self) < 0)
+            return NULL;
     }
     Py_RETURN_NONE;
-}
-
-/* One index-based bucket walk of run(): mirrors the pure `while index <
- * len(bucket)` loop including the max_events guard.  Returns 0 on
- * success, 1 if the guard tripped (error already set), -1 on error.
- * *index_out is the pure loop's `index` at exit (for the `del
- * bucket[:index]` / wheel_count settlement the caller performs). */
-static int
-run_bucket(WheelCore *self, PyObject *bucket, long long pos,
-           int has_max, long long max_events, PyObject *sanitizer,
-           long long *dispatched_io, Py_ssize_t *index_out)
-{
-    Py_ssize_t index = 0;
-    while (index < PyList_GET_SIZE(bucket)) {
-        PyObject *entry = PyList_GET_ITEM(bucket, index);
-        Py_INCREF(entry);
-        int is_tuple = PyTuple_CheckExact(entry);
-        int is_list = PyList_CheckExact(entry);
-        int is_event = !is_tuple && !is_list;
-        if (is_event) {
-            PyObject *flag = PyObject_GetAttr(entry, s_cancelled);
-            if (flag == NULL)
-                goto fail;
-            int cancelled = PyObject_IsTrue(flag);
-            Py_DECREF(flag);
-            if (cancelled < 0)
-                goto fail;
-            if (cancelled) {
-                Py_DECREF(entry);
-                index++;
-                continue;
-            }
-        }
-        if (has_max && *dispatched_io >= max_events) {
-            /* del bucket[:index]; wheel_count -= index; clock at pos */
-            if (PyList_SetSlice(bucket, 0, index, NULL) < 0)
-                goto fail;
-            self->wheel_count -= index;
-            self->now = pos;
-            PyErr_Format(g_sim_error ? g_sim_error : PyExc_RuntimeError,
-                         "exceeded max_events=%lld", max_events);
-            Py_DECREF(entry);
-            *index_out = index;
-            return 1;
-        }
-        if (sanitizer != NULL) {
-            if (sanitizer_on_event(sanitizer, pos, self->now) < 0)
-                goto fail;
-        }
-        self->now = pos;
-        if (is_event) {
-            if (PyObject_SetAttr(entry, s_fired, Py_True) < 0)
-                goto fail;
-            PyObject *callback = PyObject_GetAttr(entry, s_callback);
-            if (callback == NULL)
-                goto fail;
-            PyObject *cb_args = PyObject_GetAttr(entry, s_args);
-            if (cb_args == NULL) {
-                Py_DECREF(callback);
-                goto fail;
-            }
-            int rc = call_callback(callback, cb_args);
-            Py_DECREF(callback);
-            Py_DECREF(cb_args);
-            if (rc < 0)
-                goto fail;
-            /* Event entries have no kind tag: always a miss */
-            self->fastpath_misses += 1;
-            g_fp_misses += 1;
-        }
-        else {
-            PyObject *cb = is_tuple ? PyTuple_GET_ITEM(entry, 0)
-                                    : PyList_GET_ITEM(entry, 0);
-            PyObject *cb_args = is_tuple ? PyTuple_GET_ITEM(entry, 1)
-                                         : PyList_GET_ITEM(entry, 1);
-            int handled = native_dispatch(self, cb, cb_args);
-            if (handled < 0)
-                goto fail;
-            if (!handled && call_callback(cb, cb_args) < 0)
-                goto fail;
-            if (is_list) {
-                if (chain_continue(self, entry, pos, self->horizon) < 0)
-                    goto fail;
-            }
-        }
-        *dispatched_io += 1;
-        index++;
-        Py_DECREF(entry);
-        continue;
-    fail:
-        Py_DECREF(entry);
-        *index_out = index;
-        return -1;
-    }
-    *index_out = index;
-    return 0;
-}
-
-static PyObject *
-WheelCore_run(WheelCore *self, PyObject *args, PyObject *kwargs)
-{
-    static char *keywords[] = {"max_events", NULL};
-    PyObject *max_obj = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "|O", keywords, &max_obj))
-        return NULL;
-    int has_max = max_obj != Py_None;
-    long long max_events = 0;
-    if (has_max && ll_from(max_obj, &max_events) < 0)
-        return NULL;
-    if (check_state(self) < 0)
-        return NULL;
-
-    PyObject *wheel = self->wheel;
-    PyObject *late_wheel = self->wheel_late;
-    PyObject *overflow = self->overflow;
-    PyObject *sanitizer =
-        (self->sanitizer == NULL || self->sanitizer == Py_None)
-            ? NULL
-            : self->sanitizer;
-    Py_INCREF(wheel);
-    Py_INCREF(late_wheel);
-    Py_INCREF(overflow);
-    Py_XINCREF(sanitizer);
-
-    long long dispatched = 0;
-    long long pos = self->wheel_pos;
-    int failed = 0;
-
-    if (core_refill(self) < 0) {
-        failed = 1;
-        goto settle;
-    }
-    for (;;) {
-        if (self->wheel_count == 0) {
-            long long head;
-            int has;
-            if (overflow_head(overflow, &head, &has) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            if (!has)
-                break;
-            pos = head;
-            self->wheel_pos = pos;
-            self->horizon = pos + WHEEL_SIZE;
-            if (core_refill(self) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            continue;
-        }
-        Py_ssize_t slot = (Py_ssize_t)(pos & WHEEL_MASK);
-        PyObject *bucket = PyList_GET_ITEM(wheel, slot);
-        if (PyList_GET_SIZE(bucket) == 0 &&
-            PyList_GET_SIZE(PyList_GET_ITEM(late_wheel, slot)) == 0) {
-            pos += 1;
-            long long head;
-            int has;
-            if (overflow_head(overflow, &head, &has) < 0) {
-                failed = 1;
-                goto settle;
-            }
-            if (has && head - WHEEL_SIZE + 1 <= pos) {
-                self->wheel_pos = pos;
-                self->horizon = pos + WHEEL_SIZE;
-                if (core_refill(self) < 0) {
-                    failed = 1;
-                    goto settle;
-                }
-            }
-            continue;
-        }
-        self->wheel_pos = pos;
-        self->horizon = pos + WHEEL_SIZE;
-        Py_ssize_t index = 0;
-        int rc = run_bucket(self, bucket, pos, has_max, max_events,
-                            sanitizer, &dispatched, &index);
-        if (rc != 0) {
-            failed = 1;
-            goto settle;
-        }
-        self->wheel_count -= index;
-        if (PyList_SetSlice(bucket, 0, PyList_GET_SIZE(bucket), NULL) < 0) {
-            failed = 1;
-            goto settle;
-        }
-        PyObject *late = PyList_GET_ITEM(late_wheel, slot);
-        if (PyList_GET_SIZE(late) != 0) {
-            /* late phase: same slot-swap as run_until */
-            Py_INCREF(late);
-            Py_INCREF(bucket);
-            Py_INCREF(late);
-            PyList_SetItem(wheel, slot, late);
-            rc = run_bucket(self, late, pos, has_max, max_events,
-                            sanitizer, &dispatched, &index);
-            if (rc != 0) {
-                if (rc == 1) {
-                    /* guard trip restores the ordinary slot (pure code
-                     * reassigns wheel[pos & mask] = bucket before raising) */
-                    PyList_SetItem(wheel, slot, bucket); /* steals */
-                    Py_DECREF(late);
-                }
-                else {
-                    Py_DECREF(late);
-                    Py_DECREF(bucket);
-                }
-                failed = 1;
-                goto settle;
-            }
-            self->wheel_count -= index;
-            if (PyList_SetSlice(late, 0, PyList_GET_SIZE(late), NULL) < 0) {
-                Py_DECREF(late);
-                Py_DECREF(bucket);
-                failed = 1;
-                goto settle;
-            }
-            PyList_SetItem(wheel, slot, bucket); /* steals; drops late */
-            Py_DECREF(late);
-        }
-        pos += 1;
-    }
-
-settle:
-    self->live -= dispatched;
-    self->dispatched += dispatched;
-    g_dispatched_total += dispatched;
-    Py_DECREF(wheel);
-    Py_DECREF(late_wheel);
-    Py_DECREF(overflow);
-    Py_XDECREF(sanitizer);
-    if (failed)
-        return NULL;
-    return PyLong_FromLongLong(dispatched);
 }
 
 static PyMemberDef WheelCore_members[] = {
@@ -1011,8 +690,6 @@ static PyMemberDef WheelCore_members[] = {
      "window end cycle (wheel_pos + 4096)"},
     {"_wheel_count", T_LONGLONG, offsetof(WheelCore, wheel_count), 0,
      "entries sitting in wheel buckets (both phases)"},
-    {"_live", T_LONGLONG, offsetof(WheelCore, live), 0,
-     "queued entries that will actually fire"},
     {"dispatched", T_LONGLONG, offsetof(WheelCore, dispatched), 0,
      "events dispatched by this engine"},
     {"fastpath_hits", T_LONGLONG, offsetof(WheelCore, fastpath_hits), 0,
@@ -1035,8 +712,6 @@ static PyMemberDef WheelCore_members[] = {
 static PyMethodDef WheelCore_methods[] = {
     {"run_until", (PyCFunction)WheelCore_run_until, METH_O,
      "Dispatch events with timestamp <= deadline (compiled)."},
-    {"run", (PyCFunction)WheelCore_run, METH_VARARGS | METH_KEYWORDS,
-     "Dispatch events until the queue is empty (compiled)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1181,23 +856,6 @@ fail:
     return NULL;
 }
 
-/* ready_scan(queue, busy, banks, uniform_prep, bus_backlog, now) */
-static PyObject *
-mod_ready_scan(PyObject *module, PyObject *args)
-{
-    PyObject *queue, *busy, *banks, *uniform_prep;
-    long long bus_backlog, now;
-    if (!PyArg_ParseTuple(args, "OOOOLL", &queue, &busy, &banks,
-                          &uniform_prep, &bus_backlog, &now))
-        return NULL;
-    if (!PyList_Check(queue) || !PyList_Check(busy) || !PyList_Check(banks)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "ready_scan expects list queue/busy/banks");
-        return NULL;
-    }
-    return ready_scan_impl(queue, busy, banks, uniform_prep, bus_backlog, now);
-}
-
 /* Mirror of _issue_ready's incremental post-pick filters: drop the
  * issued request, everything on its (now busy) bank, and — open page —
  * everything whose prep no longer covers the tightened bus gate.
@@ -1270,30 +928,13 @@ fail:
     return NULL;
 }
 
-/* filter_ready(ready, picked, banks, uniform_prep, bus_backlog) */
-static PyObject *
-mod_filter_ready(PyObject *module, PyObject *args)
-{
-    PyObject *ready, *picked, *banks, *uniform_prep;
-    long long bus_backlog;
-    if (!PyArg_ParseTuple(args, "OOOOL", &ready, &picked, &banks,
-                          &uniform_prep, &bus_backlog))
-        return NULL;
-    if (!PyList_Check(ready) || !PyList_Check(banks)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "filter_ready expects list ready/banks");
-        return NULL;
-    }
-    return filter_ready_impl(ready, picked, banks, uniform_prep, bus_backlog);
-}
-
 /* ------------------------------------------------------------------ */
 /* native event fast path                                             */
 /*                                                                    */
 /* The dominant event callbacks (pacer release chains, controller     */
 /* pass tokens and completions, the system's NoC delivery/response    */
 /* pumps) are transcribed below as C handlers keyed by "kind": the    */
-/* dispatch loops recognize an entry's bound-method callback by       */
+/* dispatch loop recognizes an entry's bound-method callback by       */
 /* (function pointer, exact owner class, owner engine == self) and    */
 /* run the C twin instead of bouncing into the interpreter.  This is  */
 /* a *code* mirror, not a state mirror: handlers read and write the   */
@@ -1471,11 +1112,10 @@ bisect_left_ll(PyObject *list, long long value)
 /* Engine.post_at's body for a pre-validated int `when` >= _now and a
  * ready-made entry (borrowed).  Also the exact tail of post_chain_at
  * and of the inlined wheel inserts in controller.py: same end state
- * (live/wheel_count/seq, bucket append vs heap push). */
+ * (wheel_count/seq, bucket append vs heap push). */
 static int
 core_post_entry(WheelCore *self, long long when, PyObject *entry)
 {
-    self->live += 1;
     if (when < self->horizon) {
         PyObject *bucket =
             PyList_GET_ITEM(self->wheel, (Py_ssize_t)(when & WHEEL_MASK));
@@ -1531,7 +1171,6 @@ core_post_late(WheelCore *self, long long when, PyObject *callback,
     PyObject *entry = PyTuple_Pack(2, callback, args);
     if (entry == NULL)
         return -1;
-    self->live += 1;
     PyObject *bucket =
         PyList_GET_ITEM(self->wheel_late, (Py_ssize_t)(when & WHEEL_MASK));
     if (!PyList_Check(bucket)) {
@@ -2770,22 +2409,9 @@ ctrl_issue(WheelCore *self, PyObject *owner, CtrlState *st, PyObject *req)
             Py_DECREF(cb);
             goto fail_row;
         }
-        int rc;
-        if (data_end < self->horizon) {
-            rc = core_post_call(self, data_end, cb, inner);
-        } else {
-            /* engine.post_at(data_end, self._complete, (req,)) passes
-             * the tuple through *args, so the stored args are ((req,),)
-             * — mirror the quirk, don't fix it */
-            PyObject *outer = PyTuple_Pack(1, inner);
-            if (outer == NULL) {
-                Py_DECREF(inner);
-                Py_DECREF(cb);
-                goto fail_row;
-            }
-            rc = core_post_call(self, data_end, cb, outer);
-            Py_DECREF(outer);
-        }
+        /* the wheel insert and engine.post_at(data_end, self._complete,
+         * req) store the same (callback, (req,)) entry */
+        int rc = core_post_call(self, data_end, cb, inner);
         Py_DECREF(inner);
         Py_DECREF(cb);
         if (rc < 0)
@@ -4039,10 +3665,6 @@ mod_native_kinds(PyObject *module, PyObject *noargs)
 }
 
 static PyMethodDef module_methods[] = {
-    {"ready_scan", mod_ready_scan, METH_VARARGS,
-     "Controller bank-ready/row-hit scan (mirror of _ready)."},
-    {"filter_ready", mod_filter_ready, METH_VARARGS,
-     "Incremental post-pick ready-list filter (mirror of _issue_ready)."},
     {"dispatched_total", mod_dispatched_total, METH_NOARGS,
      "Events dispatched by compiled loops in this process."},
     {"_install", mod_install, METH_O,
@@ -4073,10 +3695,6 @@ intern_all(void)
         if (var == NULL)                                                  \
             return -1;                                                    \
     } while (0)
-    INTERN(s_cancelled, "cancelled");
-    INTERN(s_fired, "fired");
-    INTERN(s_callback, "callback");
-    INTERN(s_args, "args");
     INTERN(s_as_cycles, "_as_cycles");
     INTERN(s_on_event, "on_event");
     INTERN(s_deadline_word, "deadline");

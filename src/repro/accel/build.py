@@ -12,9 +12,9 @@ so a source edit or an interpreter switch can never pick up a stale
 Loading performs two handshakes before the module is handed out:
 
 * ``WHEEL_BITS`` must match the pure engine's wheel geometry (the C
-  dispatch loops hard-code the bucket mask); and
+  dispatch loop hard-codes the bucket mask); and
 * the engine's :class:`~repro.sim.engine.SimulationError` is injected so
-  compiled guard trips raise the exact exception type callers catch.
+  compiled error paths raise the exact exception type callers catch.
 """
 
 from __future__ import annotations
@@ -155,10 +155,10 @@ def load(path: str | Path):
             f"bits, the engine expects {pure_engine._WHEEL_BITS}; rebuild "
             "the extension (repro accel build)"
         )
-    # Compiled guard trips must raise the engine's exception type.
+    # Compiled error paths must raise the engine's exception type.
     module._install(pure_engine.SimulationError)
     # Bind the native event-kind table (function/class pairs + helper
-    # classes) so the dispatch loops can run recognized callbacks in C.
+    # classes) so the dispatch loop can run recognized callbacks in C.
     from repro.accel import native
 
     native.install_native_kinds(module)

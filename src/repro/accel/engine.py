@@ -1,18 +1,18 @@
 """C-backed engine classes assembled around the compiled ``WheelCore``.
 
-The compiled type owns exactly the state the dispatch loops touch — the
+The compiled type owns exactly the state the dispatch loop touches — the
 integer clock/counters as C ``long long`` fields and the wheel/overflow
 containers as ordinary Python lists — and exposes every field under the
 pure class's attribute names via member descriptors.  That makes the two
 backends *attribute-compatible*: the pure scheduling entry points
-(``schedule``/``post``/``post_chain_at``/...), the sanitizer's restore
+(``post``/``post_at``/``post_chain_at``/...), the sanitizer's restore
 audit, and the inlined wheel inserts in
 ``system.py``/``controller.py`` all run unchanged against either class.
 
-Only the dispatch loops differ, so this module borrows the pure methods
-wholesale instead of re-implementing them: the scheduling surface *is*
-the reference code, executed over C-backed attributes.  ``run_until``
-and ``run`` come from the extension.
+Only the ``run_until`` dispatch loop differs, so this module borrows the
+pure methods wholesale instead of re-implementing them: the scheduling
+surface *is* the reference code, executed over C-backed attributes, and
+the pure ``run`` drain calls the compiled ``run_until``.
 
 Classes are built lazily (the extension module only exists once
 :mod:`repro.accel` has loaded it) and cached process-wide.
@@ -46,7 +46,6 @@ def _build_wheel_class(core) -> type:
             self._horizon = _pure._WHEEL_SIZE
             self._wheel_count = 0
             self._overflow = []
-            self._live = 0
             self.dispatched = 0
             self.sanitizer = None
             self.tracer = None
@@ -62,19 +61,17 @@ def _build_wheel_class(core) -> type:
         # heapq's sift algorithm over the same list.)
         now = pure_wheel.now
         pending_events = pure_wheel.pending_events
-        live_events = pure_wheel.live_events
         _as_cycles = staticmethod(pure_wheel._as_cycles)
         _coerce_delay = pure_wheel._coerce_delay
         _coerce_when = pure_wheel._coerce_when
-        schedule = pure_wheel.schedule
-        schedule_at = pure_wheel.schedule_at
         post = pure_wheel.post
         post_at = pure_wheel.post_at
         post_chain_at = pure_wheel.post_chain_at
         post_late_at = pure_wheel.post_late_at
         advance_clock = pure_wheel.advance_clock
         _refill = pure_wheel._refill
-        # run_until / run are inherited from WheelCore: the compiled loops.
+        run = pure_wheel.run
+        # run_until is inherited from WheelCore: the compiled loop.
 
     return CTimingWheel
 

@@ -50,7 +50,8 @@ class Pacer:
         self._cnext_scaled = 0  # C_next x F
         self._blocked: deque[tuple[MemoryRequest, Callable[[], None]]] = deque()
         # identifies the newest armed release event; superseded events
-        # dispatch, see a stale token, and return (no Event allocation)
+        # dispatch, see a stale token, and return (the engine has no
+        # cancellation)
         self._release_token = 0
         self.released = 0
         self.throttled = 0

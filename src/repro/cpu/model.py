@@ -121,7 +121,6 @@ class Core:
                     (self._issue, (context, access))
                 )
                 engine._wheel_count += 1
-                engine._live += 1
             else:
                 engine.post(gap, self._issue, context, access)
         else:

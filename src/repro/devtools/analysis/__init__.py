@@ -48,7 +48,7 @@ __all__ = [
 WHOLE_PROGRAM_RULES: dict[str, tuple[str, str]] = {
     "DET101": (
         "nondeterministic value can reach an event-queue timestamp "
-        "(post/post_at/post_chain_at/schedule/run_until) via some call path",
+        "(post/post_at/post_late_at/post_chain_at/run_until) via some call path",
         "determinism",
     ),
     "DET102": (

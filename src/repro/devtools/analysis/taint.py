@@ -18,8 +18,8 @@ Rules:
 ========  ==============================================================
 DET101    a nondeterministic value (wall clock, ambient RNG, builtin
           ``hash()``/``id()``, OS entropy) can reach an event-queue
-          timestamp (``post``/``post_at``/``post_chain_at``/
-          ``schedule``/``schedule_at``/``run_until``).
+          timestamp (``post``/``post_at``/``post_late_at``/
+          ``post_chain_at``/``run_until``).
 DET102    a nondeterministic value can reach a seed derivation
           (``SeedSequence``/``PCG64``/``default_rng`` or any ``seed=``
           argument).
@@ -45,9 +45,7 @@ _WALLCLOCK = {
     "monotonic_ns", "process_time", "process_time_ns", "clock_gettime",
 }
 _DATETIME = {"now", "utcnow", "today"}
-_TIME_SINKS = {
-    "post", "post_at", "post_chain_at", "schedule", "schedule_at", "run_until",
-}
+_TIME_SINKS = {"post", "post_at", "post_late_at", "post_chain_at", "run_until"}
 _SEED_CONSTRUCTORS = {"SeedSequence", "PCG64", "Philox", "MT19937", "default_rng"}
 _MAX_CHAIN = 6
 _MAX_PASSES = 10

@@ -27,9 +27,10 @@ DET004    no true division on timestamp-like operands (``when``,
           arithmetic must use ``//`` so it stays integral.
 DET005    no iteration over bare ``set`` literals/comprehensions —
           element order can leak into scheduling decisions.
-SIM001    ``Engine.schedule``/``schedule_at`` callsites must pass an
-          int-typed delay expression (no float literals, ``float()``
-          casts, or ``/`` in the delay argument).
+SIM001    ``Engine.post``/``post_at``/``post_late_at``/``post_chain_at``
+          callsites must pass int-typed cycle expressions (no float
+          literals, ``float()`` casts, or ``/``) as the delay or
+          timestamp, and as ``post_chain_at``'s ``link_delay``.
 PERF001   import confinement: each row of :data:`CONFINEMENT` names
           modules that only one file or subpackage may import —
           ``networkx`` (``sim/topology.py``: build-time latency tables),
@@ -425,26 +426,38 @@ class NoBareSetIteration(Rule):
     visit_GeneratorExp = _check_comprehensions
 
 
+#: Engine scheduling call -> the (positional index, keyword) of each
+#: argument that must be an int cycle count.
+_CYCLE_ARGS = {
+    "post": ((0, "delay"),),
+    "post_at": ((0, "when"),),
+    "post_late_at": ((0, "when"),),
+    "post_chain_at": ((0, "when"), (3, "link_delay")),
+}
+
+
 @register
 class IntegerScheduleDelay(Rule):
     code = "SIM001"
-    summary = "Engine.schedule/schedule_at need int-typed delay expressions"
+    summary = "Engine post/post_at/post_late_at/post_chain_at need int-typed cycle expressions"
 
     def visit_Call(self, node: ast.Call) -> None:
         attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
-        if attr in ("schedule", "schedule_at"):
-            delay: ast.expr | None = node.args[0] if node.args else None
-            if delay is None:
+        for index, keyword in _CYCLE_ARGS.get(attr, ()):
+            value: ast.expr | None = None
+            if index < len(node.args):
+                value = node.args[index]
+            else:
                 for kw in node.keywords:
-                    if kw.arg in ("delay", "when"):
-                        delay = kw.value
+                    if kw.arg == keyword:
+                        value = kw.value
                         break
-            if delay is not None and _definitely_float(delay):
+            if value is not None and _definitely_float(value):
                 self.report(
-                    delay,
-                    f"{attr}() delay expression is float-typed (float "
+                    value,
+                    f"{attr}() {keyword} expression is float-typed (float "
                     "literal, float() cast, or true division); cycle "
-                    "delays must be ints",
+                    "counts must be ints",
                 )
         self.generic_visit(node)
 
@@ -491,7 +504,7 @@ CONFINEMENT: tuple[Confinement, ...] = (
         ("heapq", "_heapq"),
         ("sim", "engine.py"),
         "event ordering belongs to the engine's timing wheel "
-        "(schedule/post/post_chain_at), and a separate priority queue in "
+        "(post/post_at/post_chain_at), and a separate priority queue in "
         "simulation code sidesteps the (when, seq) dispatch-order "
         "guarantee or reintroduces the per-event heap traffic the wheel "
         "removes",

@@ -34,7 +34,6 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from typing import TYPE_CHECKING, Callable
 
-from repro import accel
 from repro.dram.bank import Bank
 from repro.dram.channel import DataBus
 from repro.dram.schedulers import FrFcfsPolicy, SchedulingPolicy
@@ -87,11 +86,6 @@ class MemoryController:
             if config.page_policy == PagePolicy.OPEN
             else self._timing.access_prep(row_hit=False)
         )
-        # Compiled ready-scan kernels (repro.accel's extension module) or
-        # None under the pure backend.  Bound once per controller: the
-        # backend selection applies at system build time, and the binding
-        # is process-local (dropped on pickle, re-resolved on restore).
-        self._ckern = accel.controller_kernels()
         # front-end queue capacities, flattened for the accept hot path
         self._read_capacity = config.frontend_read_queue
         self._write_capacity = config.frontend_write_queue
@@ -127,7 +121,7 @@ class MemoryController:
         # scheduling-pass coalescing: _pass_at is the armed pass time, and
         # _pass_token identifies the newest armed pass event — superseded
         # events dispatch, see their stale token, and return immediately
-        # (cheaper than allocating a cancellable Event per arm)
+        # (the engine has no cancellation; a token costs one compare)
         self._pass_at: int | None = None
         self._pass_token = 0
 
@@ -253,7 +247,6 @@ class MemoryController:
         if when < engine._horizon:
             engine._wheel[when & _WHEEL_MASK].append((self._run_pass, (token,)))
             engine._wheel_count += 1
-            engine._live += 1
         else:
             engine.post_at(when, self._run_pass, token)
 
@@ -281,12 +274,6 @@ class MemoryController:
 
     def _ready(self, queue: list[MemoryRequest], bus_backlog: int, now: int) -> list[MemoryRequest]:
         """Requests whose bank is free and whose prep covers the bus backlog."""
-        kern = self._ckern
-        if kern is not None:
-            return kern.ready_scan(
-                queue, self._bank_busy, self.banks,
-                self._uniform_prep, bus_backlog, now,
-            )
         busy = self._bank_busy
         uniform_prep = self._uniform_prep
         if uniform_prep is not None:
@@ -314,7 +301,6 @@ class MemoryController:
         issued_reads = 0
         banks = self.banks
         uniform_prep = self._uniform_prep
-        kern = self._ckern
         draining = self._draining_writes
         bus_backlog = self.bus.free_at - now
         read_queue = self.read_queue
@@ -338,17 +324,7 @@ class MemoryController:
                 issued_reads += 1
             bus_backlog = self.bus.free_at - now
             bank_id = req.bank_id
-            if kern is not None:
-                # compiled twin of both filter branches below (including
-                # the closed-page all-or-nothing bus gate)
-                ready_reads = kern.filter_ready(
-                    ready_reads, req, banks, uniform_prep, bus_backlog
-                )
-                if ready_writes is not None:
-                    ready_writes = kern.filter_ready(
-                        ready_writes, req, banks, uniform_prep, bus_backlog
-                    )
-            elif uniform_prep is not None:
+            if uniform_prep is not None:
                 if uniform_prep < bus_backlog:
                     ready_reads = []
                     if ready_writes is not None:
@@ -434,13 +410,13 @@ class MemoryController:
                 )
                 return
         # inlined engine.post_at; data_end is an int > now by construction
-        # and within the wheel window (bus backlog is queue-bounded)
+        # and all but always within the wheel window (bus backlog is
+        # queue-bounded) — only bank timings past the window overflow
         if data_end < engine._horizon:
             engine._wheel[data_end & _WHEEL_MASK].append((self._complete, (req,)))
             engine._wheel_count += 1
-            engine._live += 1
         else:
-            engine.post_at(data_end, self._complete, (req,))
+            engine.post_at(data_end, self._complete, req)
 
     def configure_read_fusion(
         self,
@@ -526,24 +502,8 @@ class MemoryController:
                     (self._run_pass, (token,))
                 )
                 engine._wheel_count += 1
-                engine._live += 1
             else:
                 engine.post_at(when, self._run_pass, token)
-
-    # ------------------------------------------------------------------
-    # pickling (checkpoints)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # The compiled-kernel binding is an extension module — process
-        # local and backend-specific.  Checkpoints stay backend-neutral:
-        # drop it here, re-resolve under the restoring process's backend.
-        state["_ckern"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._ckern = accel.controller_kernels()
 
     def _notify_space(self) -> None:
         # Synchronous hint: listeners only set a flag and arm a late-phase

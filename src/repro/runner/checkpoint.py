@@ -74,7 +74,9 @@ __all__ = [
 #: engine slot — v1 snapshots unpickle without them, so they must miss.
 #: v3: checkpoints are chain links keyed by (prefix hash, epochs); the
 #: metadata's ``warmup_epochs`` became ``epochs``.
-CHECKPOINT_VERSION = 3
+#: v4: the engine state lost its live-event counter (``_live``) and the
+#: controller its compiled-kernel binding (``_ckern``).
+CHECKPOINT_VERSION = 4
 
 DEFAULT_CHECKPOINT_DIR = ".repro-cache/checkpoints"
 

@@ -27,15 +27,15 @@ Ordering is exactly the old heap's ``(when, seq)`` order:
   overflow heap in ``(when, seq)`` order and appends, which interleaves
   the two populations exactly as the global sequence numbers would.
 
-Cancellation stays lazy (dead :class:`Event` objects are skipped at
-dispatch) and the engine maintains a live-event counter so introspection
-reflects real work, not queue garbage.
+Nothing is ever cancelled: components that re-arm (the PABST pacer,
+the memory controller's scheduling pass) tag each posted callback with a
+token and let superseded ones return at dispatch.
 
 Entry shapes
 ------------
 
-Buckets hold three entry shapes, told apart by container type alone (one
-pointer compare on the dominant dispatch path):
+Buckets hold two entry shapes, told apart by container type alone (one
+pointer compare per dispatched entry):
 
 * a ``(callback, args)`` tuple — a fire-and-forget
   :meth:`TimingWheel.post` / :meth:`TimingWheel.post_at` entry (the vast
@@ -46,9 +46,7 @@ pointer compare on the dominant dispatch path):
   ``link_delay`` cycles later itself.  The continuation lands exactly
   where a ``post`` issued at the end of the first callback would, so a
   fused chain is indistinguishable, event order included, from two
-  separately scheduled hops — but costs one insertion instead of two;
-* an :class:`Event` — a cancellable :meth:`TimingWheel.schedule` /
-  :meth:`TimingWheel.schedule_at` entry.
+  separately scheduled hops — but costs one insertion instead of two.
 
 The overflow heap stores ``(when, seq, entry)`` tuples; ``seq`` is unique
 among overflow entries, so heap comparison never falls through to the
@@ -81,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.trace import RequestTracer
     from repro.sim.sanitizer import SimSanitizer
 
-__all__ = ["Engine", "Event", "SimulationError", "TimingWheel", "dispatched_total"]
+__all__ = ["Engine", "SimulationError", "TimingWheel", "dispatched_total"]
 
 
 class SimulationError(RuntimeError):
@@ -95,7 +93,7 @@ _dispatched_total = 0
 def dispatched_total() -> int:
     """Events dispatched by all engines in this process since import.
 
-    Sums this module's counter (pure-Python dispatch loops) and the
+    Sums this module's counter (the pure-Python dispatch loop) and the
     compiled backend's (:mod:`repro.accel`, when its extension is
     loaded).  The extension counter is tracked by *loaded*, not active:
     events dispatched under ``c`` keep counting after a switch back to
@@ -119,43 +117,6 @@ _WHEEL_MASK = _WHEEL_SIZE - 1
 _NEVER = 1 << 63
 
 
-class Event:
-    """A scheduled callback.
-
-    ``cancel()`` marks the event dead; the engine silently discards dead
-    events when their bucket is dispatched (lazy deletion) and keeps its
-    live-event counter in sync.
-    """
-
-    __slots__ = ("when", "seq", "callback", "args", "cancelled", "fired", "_engine")
-
-    def __init__(
-        self,
-        when: int,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-        engine: "TimingWheel",
-    ) -> None:
-        self.when = when
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self._engine = engine
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent.
-
-        Cancelling an event that already fired is a no-op (its live-count
-        bookkeeping was settled by the dispatch loop).
-        """
-        if not self.cancelled and not self.fired:
-            self.cancelled = True
-            self._engine._live -= 1
-
-
 class TimingWheel:
     """Bucketed timing-wheel scheduler behind the classic engine API.
 
@@ -167,8 +128,7 @@ class TimingWheel:
       is single-timestamp;
     * ``_wheel_pos`` (and hence ``_horizon``) is non-decreasing — the
       property the FIFO-vs-overflow ordering proof rests on;
-    * ``_wheel_count + len(_overflow)`` equals the queued entry count
-      (cancelled events included until their bucket is dispatched),
+    * ``_wheel_count + len(_overflow)`` equals the queued entry count,
       counting both the ordinary and the late bucket arrays.
     """
 
@@ -183,7 +143,6 @@ class TimingWheel:
         self._horizon = _WHEEL_SIZE
         self._wheel_count = 0
         self._overflow: list[tuple] = []
-        self._live = 0
         self.dispatched = 0
         #: Opt-in runtime invariant checker (see ``repro.sim.sanitizer``).
         self.sanitizer: "SimSanitizer | None" = None
@@ -194,7 +153,7 @@ class TimingWheel:
         self.tracer: "RequestTracer | None" = None
         #: Native fast-path counters, mirroring the C backend's member
         #: names so obs providers read either backend uniformly.  The
-        #: pure dispatch loops never touch them (there is no native path
+        #: pure dispatch loop never touches them (there is no native path
         #: to hit or miss); both stay 0 here.  Part of ``_ENGINE_STATE``
         #: like every other obs-visible counter: the registry snapshot
         #: survives a checkpoint round-trip, and a warm-up that really
@@ -212,17 +171,8 @@ class TimingWheel:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of events still queued."""
         return self._wheel_count + len(self._overflow)
-
-    @property
-    def live_events(self) -> int:
-        """Number of queued events that will actually fire.
-
-        Unlike :attr:`pending_events` this excludes lazily deleted
-        (cancelled) entries still sitting in their buckets.
-        """
-        return self._live
 
     # ------------------------------------------------------------------
     # scheduling
@@ -244,7 +194,7 @@ class TimingWheel:
             "ints (use // instead of /)"
         )
 
-    # The four scheduling entry points share one inline guard —
+    # The scheduling entry points share one inline guard —
     # ``type(x) is not int or x out-of-range`` — that falls through to
     # these slow-path validators.  The hot path (int, in range) pays no
     # extra call frame; the cold path (floats, numpy ints, negatives)
@@ -263,49 +213,14 @@ class TimingWheel:
             )
         return when
 
-    def schedule(self, delay: int, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
-        if type(delay) is not int or delay < 0:
-            delay = self._coerce_delay(delay)
-        when = self._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(when, seq, callback, args, self)
-        self._live += 1
-        if when < self._horizon:
-            self._wheel[when & _WHEEL_MASK].append(event)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, (when, seq, event))
-        return event
-
-    def schedule_at(self, when: int, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute cycle ``when``."""
-        if type(when) is not int or when < self._now:
-            when = self._coerce_when(when)
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(when, seq, callback, args, self)
-        self._live += 1
-        if when < self._horizon:
-            self._wheel[when & _WHEEL_MASK].append(event)
-            self._wheel_count += 1
-        else:
-            heapq.heappush(self._overflow, (when, seq, event))
-        return event
-
     def post(self, delay: int, callback: Callable[..., None], *args: Any) -> None:
-        """Schedule a fire-and-forget callback ``delay`` cycles from now.
+        """Schedule ``callback(*args)`` to run ``delay`` cycles from now.
 
-        Identical ordering semantics to :meth:`schedule`, but no
-        :class:`Event` handle is created, so the callback cannot be
-        cancelled.  Use for the simulator's bulk traffic (deliveries,
-        completions, responses) where nothing ever cancels.
+        Entries for the same cycle dispatch in insertion order.
         """
         if type(delay) is not int or delay < 0:
             delay = self._coerce_delay(delay)
         when = self._now + delay
-        self._live += 1
         if when < self._horizon:
             self._wheel[when & _WHEEL_MASK].append((callback, args))
             self._wheel_count += 1
@@ -315,10 +230,9 @@ class TimingWheel:
             heapq.heappush(self._overflow, (when, seq, (callback, args)))
 
     def post_at(self, when: int, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget variant of :meth:`schedule_at` (no Event handle)."""
+        """Schedule ``callback(*args)`` at absolute cycle ``when``."""
         if type(when) is not int or when < self._now:
             when = self._coerce_when(when)
-        self._live += 1
         if when < self._horizon:
             self._wheel[when & _WHEEL_MASK].append((callback, args))
             self._wheel_count += 1
@@ -356,7 +270,6 @@ class TimingWheel:
                 f"chain link_delay must be a positive int (got {link_delay!r})"
             )
         entry = [callback, args, link_delay, link_callback, link_args]
-        self._live += 1
         if when < self._horizon:
             self._wheel[when & _WHEEL_MASK].append(entry)
             self._wheel_count += 1
@@ -383,7 +296,6 @@ class TimingWheel:
                 f"late post at cycle {when} is beyond the wheel horizon "
                 f"{self._horizon}; late entries must be near-term"
             )
-        self._live += 1
         self._wheel_late[when & _WHEEL_MASK].append((callback, args))
         self._wheel_count += 1
 
@@ -434,15 +346,15 @@ class TimingWheel:
         """Dispatch events with timestamp <= ``deadline``.
 
         The clock is left at ``deadline`` even if the queue drains early, so
-        callers can rely on ``engine.now`` after the call.
+        callers can rely on ``engine.now`` after the call.  A callback that
+        raises aborts the call; its bucket does not count as dispatched.
         """
         if type(deadline) is not int:
             deadline = self._as_cycles(deadline, "deadline")
         wheel = self._wheel
         late_wheel = self._wheel_late
         overflow = self._overflow
-        sanitizer = self.sanitizer
-        heappush = heapq.heappush
+        drain = self._drain
         mask = _WHEEL_MASK
         dispatched = 0
         pos = self._wheel_pos
@@ -477,74 +389,11 @@ class TimingWheel:
                     continue
                 # ---- dispatch every entry at cycle `pos` ----
                 self._wheel_pos = pos
-                horizon = pos + _WHEEL_SIZE
-                self._horizon = horizon
+                self._horizon = pos + _WHEEL_SIZE
                 prev = self._now
                 self._now = pos
-                if sanitizer is None:
-                    # The list iterator picks up same-cycle appends made
-                    # by the callbacks themselves (zero-delay posts).
-                    skipped = 0
-                    for entry in bucket:
-                        if type(entry) is tuple:
-                            entry[0](*entry[1])
-                        elif type(entry) is list:
-                            entry[0](*entry[1])
-                            # fused chain: insert the continuation
-                            # exactly where a post() made here would land
-                            when2 = pos + entry[2]
-                            self._live += 1
-                            if when2 < horizon:
-                                wheel[when2 & mask].append(
-                                    (entry[3], entry[4])
-                                )
-                                self._wheel_count += 1
-                            else:
-                                seq = self._seq
-                                self._seq = seq + 1
-                                heappush(
-                                    overflow, (when2, seq, (entry[3], entry[4]))
-                                )
-                        else:
-                            if entry.cancelled:
-                                skipped += 1
-                                continue
-                            entry.fired = True
-                            entry.callback(*entry.args)
-                    # settle the counter per bucket, not per entry: the
-                    # final length covers same-cycle appends too
-                    dispatched += len(bucket) - skipped
-                else:
-                    for entry in bucket:
-                        if type(entry) is tuple:
-                            sanitizer.on_event(pos, prev)
-                            prev = pos
-                            entry[0](*entry[1])
-                        elif type(entry) is list:
-                            sanitizer.on_event(pos, prev)
-                            prev = pos
-                            entry[0](*entry[1])
-                            when2 = pos + entry[2]
-                            self._live += 1
-                            if when2 < horizon:
-                                wheel[when2 & mask].append(
-                                    (entry[3], entry[4])
-                                )
-                                self._wheel_count += 1
-                            else:
-                                seq = self._seq
-                                self._seq = seq + 1
-                                heappush(
-                                    overflow, (when2, seq, (entry[3], entry[4]))
-                                )
-                        else:
-                            if entry.cancelled:
-                                continue
-                            sanitizer.on_event(pos, prev)
-                            prev = pos
-                            entry.fired = True
-                            entry.callback(*entry.args)
-                        dispatched += 1
+                prev = drain(bucket, pos, prev)
+                dispatched += len(bucket)
                 self._wheel_count -= len(bucket)
                 bucket.clear()
                 late = late_wheel[pos & mask]
@@ -556,66 +405,8 @@ class TimingWheel:
                     # late slot itself aliases the same list, so further
                     # post_late_at(now) calls are picked up too.
                     wheel[pos & mask] = late
-                    if sanitizer is None:
-                        skipped = 0
-                        for entry in late:
-                            if type(entry) is tuple:
-                                entry[0](*entry[1])
-                            elif type(entry) is list:
-                                entry[0](*entry[1])
-                                when2 = pos + entry[2]
-                                self._live += 1
-                                if when2 < horizon:
-                                    wheel[when2 & mask].append(
-                                        (entry[3], entry[4])
-                                    )
-                                    self._wheel_count += 1
-                                else:
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    heappush(
-                                        overflow,
-                                        (when2, seq, (entry[3], entry[4])),
-                                    )
-                            else:
-                                if entry.cancelled:
-                                    skipped += 1
-                                    continue
-                                entry.fired = True
-                                entry.callback(*entry.args)
-                        dispatched += len(late) - skipped
-                    else:
-                        for entry in late:
-                            if type(entry) is tuple:
-                                sanitizer.on_event(pos, prev)
-                                prev = pos
-                                entry[0](*entry[1])
-                            elif type(entry) is list:
-                                sanitizer.on_event(pos, prev)
-                                prev = pos
-                                entry[0](*entry[1])
-                                when2 = pos + entry[2]
-                                self._live += 1
-                                if when2 < horizon:
-                                    wheel[when2 & mask].append(
-                                        (entry[3], entry[4])
-                                    )
-                                    self._wheel_count += 1
-                                else:
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    heappush(
-                                        overflow,
-                                        (when2, seq, (entry[3], entry[4])),
-                                    )
-                            else:
-                                if entry.cancelled:
-                                    continue
-                                sanitizer.on_event(pos, prev)
-                                prev = pos
-                                entry.fired = True
-                                entry.callback(*entry.args)
-                            dispatched += 1
+                    drain(late, pos, prev)
+                    dispatched += len(late)
                     self._wheel_count -= len(late)
                     late.clear()
                     wheel[pos & mask] = bucket
@@ -630,149 +421,67 @@ class TimingWheel:
                         overflow[0][0] - _WHEEL_SIZE + 1 if overflow else _NEVER
                     )
         finally:
-            # cancelled entries already decremented _live in cancel(); the
-            # dispatched ones are settled in one batch here
-            self._live -= dispatched
             self.dispatched += dispatched
             global _dispatched_total
             _dispatched_total += dispatched
         if self._now < deadline:
             self._now = deadline
         if self._wheel_pos < deadline:
+            # the window slides without dispatching (the wheel ran dry):
+            # refill now, before a post can land in a bucket ahead of an
+            # earlier-inserted overflow entry for the same cycle
             self._wheel_pos = deadline
             self._horizon = deadline + _WHEEL_SIZE
+            self._refill()
 
-    def run(self, max_events: int | None = None) -> int:
-        """Dispatch events until the queue is empty.
+    def _drain(self, bucket: list, pos: int, prev: int) -> int:
+        """Dispatch every entry of one bucket at cycle ``pos``.
 
-        Returns the number of events dispatched.  ``max_events`` guards
-        against runaway self-rescheduling components; on the guard trip
-        the offending entry (and everything after it) stays queued and
-        the clock stands at the aborted bucket's timestamp.
+        The list iterator picks up same-cycle appends made by the
+        callbacks themselves (zero-delay posts).  ``prev`` is the clock
+        the sanitizer sees before the first entry; the clock it would
+        see next is returned.
         """
-        wheel = self._wheel
-        late_wheel = self._wheel_late
-        overflow = self._overflow
         sanitizer = self.sanitizer
-        dispatched = 0
-        pos = self._wheel_pos
-        self._refill()
-        try:
-            while True:
-                if self._wheel_count == 0:
-                    if not overflow:
-                        break
-                    pos = overflow[0][0]
-                    self._wheel_pos = pos
-                    self._horizon = pos + _WHEEL_SIZE
-                    self._refill()
-                    continue
-                bucket = wheel[pos & _WHEEL_MASK]
-                if not bucket and not late_wheel[pos & _WHEEL_MASK]:
-                    pos += 1
-                    if overflow and overflow[0][0] - _WHEEL_SIZE + 1 <= pos:
-                        self._wheel_pos = pos
-                        self._horizon = pos + _WHEEL_SIZE
-                        self._refill()
-                    continue
-                self._wheel_pos = pos
-                self._horizon = pos + _WHEEL_SIZE
-                index = 0
-                while index < len(bucket):
-                    entry = bucket[index]
-                    entry_type = type(entry)
-                    is_event = entry_type is not tuple and entry_type is not list
-                    if is_event and entry.cancelled:
-                        index += 1
-                        continue
-                    if max_events is not None and dispatched >= max_events:
-                        del bucket[:index]
-                        self._wheel_count -= index
-                        self._now = pos
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    if sanitizer is not None:
-                        sanitizer.on_event(pos, self._now)
-                    self._now = pos
-                    if is_event:
-                        entry.fired = True
-                        entry.callback(*entry.args)
-                    else:
-                        entry[0](*entry[1])
-                        if entry_type is list:
-                            when2 = pos + entry[2]
-                            self._live += 1
-                            if when2 < self._horizon:
-                                wheel[when2 & _WHEEL_MASK].append(
-                                    (entry[3], entry[4])
-                                )
-                                self._wheel_count += 1
-                            else:
-                                seq = self._seq
-                                self._seq = seq + 1
-                                heapq.heappush(
-                                    overflow, (when2, seq, (entry[3], entry[4]))
-                                )
-                    dispatched += 1
-                    index += 1
-                self._wheel_count -= index
-                bucket.clear()
-                late = late_wheel[pos & _WHEEL_MASK]
-                if late:
-                    # late phase: same slot-swap as run_until, so a late
-                    # callback's zero-delay posts land in the list being
-                    # walked instead of the cleared ordinary bucket
-                    wheel[pos & _WHEEL_MASK] = late
-                    index = 0
-                    while index < len(late):
-                        entry = late[index]
-                        entry_type = type(entry)
-                        is_event = entry_type is not tuple and entry_type is not list
-                        if is_event and entry.cancelled:
-                            index += 1
-                            continue
-                        if max_events is not None and dispatched >= max_events:
-                            del late[:index]
-                            self._wheel_count -= index
-                            self._now = pos
-                            wheel[pos & _WHEEL_MASK] = bucket
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}"
-                            )
-                        if sanitizer is not None:
-                            sanitizer.on_event(pos, self._now)
-                        self._now = pos
-                        if is_event:
-                            entry.fired = True
-                            entry.callback(*entry.args)
-                        else:
-                            entry[0](*entry[1])
-                            if entry_type is list:
-                                when2 = pos + entry[2]
-                                self._live += 1
-                                if when2 < self._horizon:
-                                    wheel[when2 & _WHEEL_MASK].append(
-                                        (entry[3], entry[4])
-                                    )
-                                    self._wheel_count += 1
-                                else:
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    heapq.heappush(
-                                        overflow,
-                                        (when2, seq, (entry[3], entry[4])),
-                                    )
-                        dispatched += 1
-                        index += 1
-                    self._wheel_count -= index
-                    late.clear()
-                    wheel[pos & _WHEEL_MASK] = bucket
-                pos += 1
-        finally:
-            self._live -= dispatched
-            self.dispatched += dispatched
-            global _dispatched_total
-            _dispatched_total += dispatched
-        return dispatched
+        for entry in bucket:
+            if sanitizer is not None:
+                sanitizer.on_event(pos, prev)
+                prev = pos
+            entry[0](*entry[1])
+            if type(entry) is list:
+                # fused chain: insert the continuation exactly where a
+                # post() made at the end of the first hop would land
+                when = pos + entry[2]
+                if when < self._horizon:
+                    self._wheel[when & _WHEEL_MASK].append((entry[3], entry[4]))
+                    self._wheel_count += 1
+                else:
+                    seq = self._seq
+                    self._seq = seq + 1
+                    heapq.heappush(
+                        self._overflow, (when, seq, (entry[3], entry[4]))
+                    )
+        return prev
+
+    def run(self) -> int:
+        """Dispatch events until the queue is empty; returns how many ran.
+
+        The clock is left at the last dispatched cycle.
+        """
+        start = self.dispatched
+        while self._wheel_count or self._overflow:
+            if self._overflow:
+                # overflow entries lie beyond every wheel entry
+                last = max(entry[0] for entry in self._overflow)
+            else:
+                last = self._horizon - 1
+                while not (
+                    self._wheel[last & _WHEEL_MASK]
+                    or self._wheel_late[last & _WHEEL_MASK]
+                ):
+                    last -= 1
+            self.run_until(last)
+        return self.dispatched - start
 
 
 #: Attributes that fully determine an engine's observable state, for the
@@ -792,7 +501,6 @@ _ENGINE_STATE = (
     "_horizon",
     "_wheel_count",
     "_overflow",
-    "_live",
     "dispatched",
     "sanitizer",
     "tracer",

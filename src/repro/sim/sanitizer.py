@@ -33,7 +33,7 @@ off by default and intended for CI integration runs and debugging.
 
 from __future__ import annotations
 
-from repro.sim.engine import _WHEEL_MASK, _WHEEL_SIZE, Event, SimulationError
+from repro.sim.engine import _WHEEL_SIZE, SimulationError
 from repro.sim.records import MemoryRequest
 
 __all__ = ["SimSanitizer"]
@@ -187,14 +187,10 @@ class SimSanitizer:
           and the clock standing inside the window;
         * bucket accounting: ``_wheel_count`` equals the entries
           actually sitting in buckets;
-        * live-event conservation: the live counter equals the
-          uncancelled entries across wheel and overflow (a fired-but-
-          queued or double-counted entry breaks replay ordering);
-        * per-entry placement: every cancellable event sits in the
-          bucket its timestamp maps to, inside the window, in the
-          future, with a sequence number the engine has already minted
-          (same for overflow heap entries, which must also respect the
-          heap order the refill pop relies on);
+        * overflow placement: every overflow heap entry lies at or
+          after the window start, carries a sequence number the engine
+          has already minted, and respects the heap order the refill
+          pop relies on;
         * request sanity: every queued in-flight request has monotone
           lifecycle stamps, none stamped beyond the restored clock, and
           a non-negative virtual deadline;
@@ -215,8 +211,7 @@ class SimSanitizer:
                 f"restored clock outside its wheel window: now={now}, "
                 f"wheel_pos={wheel_pos}"
             )
-        # _wheel_count spans both phases: the main wheel and the late
-        # wheel (whose entries are all fire-and-forget tuples)
+        # _wheel_count spans both phases: the main wheel and the late wheel
         bucket_entries = sum(len(bucket) for bucket in engine._wheel)
         bucket_entries += sum(len(bucket) for bucket in engine._wheel_late)
         if bucket_entries != engine._wheel_count:
@@ -224,22 +219,9 @@ class SimSanitizer:
                 f"restored wheel count is stale: _wheel_count="
                 f"{engine._wheel_count} but buckets hold {bucket_entries}"
             )
-        live = 0
         seq_ceiling = engine._seq
-        for index, bucket in enumerate(engine._wheel):
-            for entry in bucket:
-                if type(entry) in (tuple, list):
-                    live += 1
-                    continue
-                self._check_restored_event(
-                    entry, index, now, wheel_pos, horizon, seq_ceiling
-                )
-                if not entry.cancelled:
-                    live += 1
-        # late-phase entries are uncancellable fire-and-forget tuples
-        live += sum(len(bucket) for bucket in engine._wheel_late)
         overflow = engine._overflow
-        for heap_index, (when, seq, entry) in enumerate(overflow):
+        for heap_index, (when, seq, _entry) in enumerate(overflow):
             if when < wheel_pos:
                 self._fail(
                     f"restored overflow entry at cycle {when} is behind the "
@@ -257,21 +239,6 @@ class SimSanitizer:
                     f"{heap_index}: parent {overflow[parent][:2]} > "
                     f"child {(when, seq)}"
                 )
-            if isinstance(entry, Event):
-                if entry.seq >= seq_ceiling:
-                    self._fail(
-                        f"restored overflow event carries unminted seq "
-                        f"{entry.seq} (engine seq counter is {seq_ceiling})"
-                    )
-                if not entry.cancelled:
-                    live += 1
-            else:
-                live += 1
-        if live != engine._live:
-            self._fail(
-                f"restored live-event counter out of sync: engine says "
-                f"{engine._live}, queues hold {live} live entries"
-            )
         for req in self._iter_queued_requests(system):
             self._check_restored_request(req, now)
         snapshotted = engine.sanitizer
@@ -292,42 +259,6 @@ class SimSanitizer:
                     f"{len(snapshotted._inflight)}"
                 )
         self.checks += 1
-
-    def _check_restored_event(
-        self,
-        event,
-        bucket_index: int,
-        now: int,
-        wheel_pos: int,
-        horizon: int,
-        seq_ceiling: int,
-    ) -> None:
-        self.checks += 1
-        if event.fired:
-            self._fail(
-                f"restored wheel holds an already-fired event for cycle "
-                f"{event.when}"
-            )
-        if not wheel_pos <= event.when < horizon:
-            self._fail(
-                f"restored event at cycle {event.when} lies outside the "
-                f"wheel window [{wheel_pos}, {horizon})"
-            )
-        if event.when < now:
-            self._fail(
-                f"restored event at cycle {event.when} is in the past "
-                f"(clock is at {now})"
-            )
-        if (event.when & _WHEEL_MASK) != bucket_index:
-            self._fail(
-                f"restored event at cycle {event.when} sits in bucket "
-                f"{bucket_index} instead of {event.when & _WHEEL_MASK}"
-            )
-        if event.seq >= seq_ceiling:
-            self._fail(
-                f"restored event carries unminted seq {event.seq} "
-                f"(engine seq counter is {seq_ceiling})"
-            )
 
     @staticmethod
     def _iter_queued_requests(system):

@@ -343,7 +343,6 @@ class System:
             if when < engine._horizon:
                 engine._wheel[when & _WHEEL_MASK].append((done, ()))
                 engine._wheel_count += 1
-                engine._live += 1
             else:
                 engine.post(self._l2_latency, done)
             return
@@ -404,7 +403,6 @@ class System:
                     (self._enqueue_response, (core, req))
                 )
                 engine._wheel_count += 1
-                engine._live += 1
             else:
                 engine.post_at(when, self._enqueue_response, core, req)
             return
@@ -417,7 +415,6 @@ class System:
         if when < engine._horizon:
             engine._wheel[when & _WHEEL_MASK].append((self._deliver, (req,)))
             engine._wheel_count += 1
-            engine._live += 1
         else:
             engine.post_at(when, self._deliver, req)
         for writeback in outcome.mem_writebacks:

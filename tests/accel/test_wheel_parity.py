@@ -1,11 +1,11 @@
 """Parity properties: the compiled wheel against the pure reference.
 
 Reuses the heap-reference ``Driver`` machinery from the pure wheel's
-property test: random ``schedule``/``post``/``post_at``/``post_chain_at``
-/``cancel``/``run_until`` interleavings must produce identical dispatch
-logs, clocks, and live-event counts on the compiled engine — including
-the cancel-after-dispatch edge and a mid-run marshal from the compiled
-engine to the pure one (checkpoints are backend-neutral).
+property test: random ``post``/``post_at``/``post_chain_at``/
+``run_until``/``run`` interleavings must produce identical dispatch
+logs, clocks, and pending-event counts on the compiled engine —
+including a mid-run marshal from the compiled engine to the pure one
+(checkpoints are backend-neutral).
 
 ``pickle`` here crosses the same boundary checkpoints do; the tests are
 outside lint scope (PERF001 confines pickle within ``src/repro``).
@@ -13,12 +13,11 @@ outside lint scope (PERF001 confines pickle within ``src/repro``).
 
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import accel
-from repro.sim.engine import Engine, SimulationError, _WHEEL_SIZE
+from repro.sim.engine import Engine, _WHEEL_SIZE
 
 from tests.sim.test_wheel_property import _OPS, _SPAN, Driver, ReferenceEngine
 
@@ -36,13 +35,14 @@ def test_c_wheel_matches_reference_heap(c_backend, ops):
     for op in ops:
         wheel.apply(op)
         reference.apply(op)
-        assert wheel.host.live_events == reference.host.live_events
+        assert wheel.host.pending_events == reference.host.pending_events
+        assert wheel.host.now == reference.host.now
     final = max(wheel.host.now + 4 * _SPAN, 8 * _SPAN)
     wheel.host.run_until(final)
     reference.host.run_until(final)
     assert wheel.log == reference.log
     assert wheel.host.now == reference.host.now
-    assert wheel.host.live_events == reference.host.live_events
+    assert wheel.host.pending_events == reference.host.pending_events
 
 
 @settings(max_examples=25, deadline=None)
@@ -61,15 +61,15 @@ def test_c_wheel_marshals_to_pure_mid_run(c_backend, ops, split):
         restored = pickle.loads(pickle.dumps(compiled))
     assert type(restored.host) is Engine
     assert restored.host.now == compiled.host.now
-    assert restored.host.live_events == compiled.host.live_events
+    assert restored.host.pending_events == compiled.host.pending_events
     for op in ops[split:]:
         compiled.apply(op)
         restored.apply(op)
         reference.apply(op)
         assert (
-            compiled.host.live_events
-            == restored.host.live_events
-            == reference.host.live_events
+            compiled.host.pending_events
+            == restored.host.pending_events
+            == reference.host.pending_events
         )
     final = max(compiled.host.now + 4 * _SPAN, 8 * _SPAN)
     for driver in (compiled, restored, reference):
@@ -78,40 +78,39 @@ def test_c_wheel_marshals_to_pure_mid_run(c_backend, ops, split):
     assert compiled.host.now == restored.host.now
 
 
-def test_cancel_after_dispatch_is_settled_once(c_backend):
-    engine = _c_engine()
-    fired = []
-    event = engine.schedule(3, fired.append, "c")
-    engine.run_until(10)
-    assert fired == ["c"]
-    assert engine.live_events == 0
-    event.cancel()
-    assert engine.live_events == 0
-
-
-@pytest.mark.parametrize("max_events", [10, 10_000])
-def test_run_guard_parity(c_backend, max_events):
-    """``run(max_events=...)`` trips (or not) identically on both backends."""
+def test_run_drains_and_stops_at_the_last_dispatch_on_both_backends(c_backend):
+    """``run()`` empties the queue and leaves ``now`` at the last
+    dispatched cycle, identically on both backends."""
     outcomes = []
     for name in ("pure", "c"):
         with accel.backend(name):
             engine = accel.make_engine()
+        fired = []
 
-        def tick(remaining, engine=engine):
+        def tick(remaining, engine=engine, fired=fired):
+            fired.append(engine.now)
             if remaining:
                 engine.post(3, tick, remaining - 1)
 
         engine.post(0, tick, 50)
-        # overflow entries too, so the guard crosses a refill boundary
-        engine.post_at(int(_WHEEL_SIZE * 1.5), tick, 2)
-        error = None
-        try:
-            count = engine.run(max_events=max_events)
-        except SimulationError as exc:
-            count, error = None, str(exc)
-        outcomes.append(
-            (count, error, engine.now, engine.live_events, engine.dispatched)
-        )
+        # an overflow entry too, so the drain crosses a refill boundary
+        last = int(_WHEEL_SIZE * 1.5)
+        engine.post_at(last, tick, 2)
+        count = engine.run()
+        assert engine.pending_events == 0
+        assert engine.now == last + 6 == fired[-1]
+        outcomes.append((count, fired, engine.now, engine.dispatched))
     assert outcomes[0] == outcomes[1]
-    if max_events == 10:
-        assert "max_events" in (outcomes[0][1] or "")
+    assert outcomes[0][0] == 54
+
+
+def test_idle_run_until_keeps_overflow_order_on_both_backends(c_backend):
+    for name in ("pure", "c"):
+        with accel.backend(name):
+            engine = accel.make_engine()
+        order = []
+        engine.post(_WHEEL_SIZE + 900, order.append, "first")  # overflow heap
+        engine.run_until(2_000)  # wheel empty: nothing dispatches
+        engine.post_at(_WHEEL_SIZE + 900, order.append, "second")
+        engine.run_until(2 * _WHEEL_SIZE)
+        assert order == ["first", "second"], name

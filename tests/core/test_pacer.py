@@ -83,7 +83,7 @@ class TestCredit:
     def test_idle_time_builds_bounded_credit(self):
         engine, pacer = make_pacer(f_scale=1, burst=4)
         pacer.set_period(10)
-        engine.schedule(1000, lambda: None)
+        engine.post(1000, lambda: None)
         engine.run()  # idle for a long time
         released = Collector()
         for _ in range(8):

@@ -39,7 +39,7 @@ def fill_reads(engine, controller, depth, hold_cycles=2000):
                 break
             state["next"] += 1
         if engine.now < deadline:
-            engine.schedule(20, feed)
+            engine.post(20, feed)
 
     feed()
     engine.run_until(deadline)

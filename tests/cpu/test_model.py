@@ -28,7 +28,7 @@ def make_core(scripts, latency=10):
     engine = Engine()
 
     def access_fn(core, access, done):
-        engine.schedule(latency, done)
+        engine.post(latency, done)
 
     recorded = []
 

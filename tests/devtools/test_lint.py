@@ -147,25 +147,39 @@ class TestDet005BareSetIteration:
 
 class TestSim001ScheduleDelay:
     def test_float_literal_fires(self):
-        assert codes("engine.schedule(0.5, cb)\n") == ["SIM001"]
+        assert codes("engine.post(0.5, cb)\n") == ["SIM001"]
 
     def test_true_division_fires(self):
-        assert codes("engine.schedule(total / 2, cb)\n") == ["SIM001"]
+        assert codes("engine.post(total / 2, cb)\n") == ["SIM001"]
 
     def test_float_cast_fires(self):
-        assert codes("engine.schedule_at(float(when), cb)\n") == ["SIM001"]
+        assert codes("engine.post_at(float(when), cb)\n") == ["SIM001"]
 
     def test_int_expression_ok(self):
-        assert codes("engine.schedule(2 * latency + 1, cb)\n") == []
+        assert codes("engine.post(2 * latency + 1, cb)\n") == []
 
     def test_floor_division_ok(self):
-        assert codes("engine.schedule(total // 2, cb)\n") == []
+        assert codes("engine.post(total // 2, cb)\n") == []
 
     def test_keyword_delay_checked(self):
-        assert codes("engine.schedule(delay=0.5, callback=cb)\n") == ["SIM001"]
+        assert codes("engine.post(delay=0.5, callback=cb)\n") == ["SIM001"]
 
     def test_noqa_suppresses(self):
-        assert codes("engine.schedule(0.5, cb)  # repro: noqa[SIM001]\n") == []
+        assert codes("engine.post(0.5, cb)  # repro: noqa[SIM001]\n") == []
+
+    def test_late_post_timestamp_checked(self):
+        assert codes("engine.post_late_at(now + 0.5, cb)\n") == ["SIM001"]
+
+    def test_chain_link_delay_checked(self):
+        source = "engine.post_chain_at(when, cb, (), latency / 2, cb2, ())\n"
+        assert codes(source) == ["SIM001"]
+
+    def test_chain_keyword_link_delay_checked(self):
+        source = "engine.post_chain_at(when, cb, (), link_delay=1.0, link_callback=cb2, link_args=())\n"
+        assert codes(source) == ["SIM001"]
+
+    def test_int_chain_ok(self):
+        assert codes("engine.post_chain_at(when, cb, (), 2, cb2, ())\n") == []
 
 
 class TestPerf001NetworkxConfinement:

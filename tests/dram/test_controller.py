@@ -1,8 +1,11 @@
 """Unit tests for the memory controller."""
 
+import dataclasses
+
 import pytest
 
 from repro.dram.controller import MemoryController
+from repro.dram.timing import DramTiming
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.records import AccessType, MemoryRequest
@@ -10,9 +13,9 @@ from repro.sim.stats import Stats
 from repro.sim.topology import AddressMap
 
 
-def make_mc(config=None, seed=0):
+def make_mc(config=None, seed=0, engine=None):
     config = config or SystemConfig.small_test()
-    engine = Engine(seed)
+    engine = engine if engine is not None else Engine(seed)
     stats = Stats()
     address_map = AddressMap(config, num_slices=config.cores)
     controller = MemoryController(engine, 0, config, address_map, stats)
@@ -33,6 +36,23 @@ def write_req(addr, qos_id=0, created=0):
     req.created_at = created
     req.released_at = created
     return req
+
+
+def check_read_completing_beyond_the_wheel_window(engine):
+    """Bank timings past the 4096-cycle wheel window put the completion
+    on the overflow heap; it must still complete the request."""
+    slow = dataclasses.replace(
+        SystemConfig.small_test(), dram=DramTiming(t_rcd=3000, t_cl=2000)
+    )
+    engine, mc, stats, config = make_mc(config=slow, engine=engine)
+    done = []
+    mc.on_read_complete = done.append
+    req = read_req(0x40)
+    mc.try_enqueue(req)
+    assert engine.run() == 3  # pass, completion, drained pass
+    assert done == [req]
+    assert req.completed_at == engine.now == 3000 + 2000 + config.dram.t_burst
+    assert stats.class_stats(0).reads_completed == 1
 
 
 class TestEnqueue:
@@ -82,6 +102,9 @@ class TestServiceLifecycle:
         engine.run()
         expected = config.dram.access_prep(False) + config.dram.t_burst
         assert req.completed_at == expected
+
+    def test_read_completing_beyond_the_wheel_window(self):
+        check_read_completing_beyond_the_wheel_window(Engine(0))
 
     def test_many_reads_all_complete(self):
         engine, mc, stats, config = make_mc()
@@ -152,13 +175,13 @@ class TestOccupancySampling:
         occupancy = mc.sample_read_occupancy()
         assert occupancy > 0.0
         # window reset: immediately resampling an idle controller gives ~0
-        engine.schedule(100, lambda: None)
+        engine.post(100, lambda: None)
         engine.run()
         assert mc.sample_read_occupancy() == pytest.approx(0.0)
 
     def test_empty_controller_samples_zero(self):
         engine, mc, stats, config = make_mc()
-        engine.schedule(10, lambda: None)
+        engine.post(10, lambda: None)
         engine.run()
         assert mc.sample_read_occupancy() == 0.0
 
@@ -199,7 +222,7 @@ class TestActivityAccounting:
             ):
                 state["sent"] += 1
             if state["sent"] < 200:
-                engine.schedule(20, feed)
+                engine.post(20, feed)
 
         feed()
         engine.run()

@@ -101,9 +101,9 @@ class TestProportionality:
             if hi > 0 and lo > 0:
                 ratios.append(lo / hi)
             if system.engine.now < 50_000:
-                system.engine.schedule(config.epoch_cycles, probe)
+                system.engine.post(config.epoch_cycles, probe)
 
-        system.engine.schedule(config.epoch_cycles + 1, probe)
+        system.engine.post(config.epoch_cycles + 1, probe)
         system.run(60_000)
         assert ratios, "expected sampled periods"
         for ratio in ratios:

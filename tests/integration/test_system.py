@@ -133,9 +133,9 @@ class TestInvariants:
                     <= system.config.l2_mshrs
                 )
             if system.engine.now < 5000:
-                system.engine.schedule(100, probe)
+                system.engine.post(100, probe)
 
-        system.engine.schedule(0, probe)
+        system.engine.post(0, probe)
         system.run(6000)
         assert checked and all(checked)
 

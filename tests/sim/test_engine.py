@@ -14,9 +14,9 @@ class TestScheduling:
     def test_runs_callbacks_in_time_order(self):
         engine = Engine()
         order = []
-        engine.schedule(30, order.append, "c")
-        engine.schedule(10, order.append, "a")
-        engine.schedule(20, order.append, "b")
+        engine.post(30, order.append, "c")
+        engine.post(10, order.append, "a")
+        engine.post(20, order.append, "b")
         engine.run()
         assert order == ["a", "b", "c"]
 
@@ -24,41 +24,41 @@ class TestScheduling:
         engine = Engine()
         order = []
         for tag in range(5):
-            engine.schedule(7, order.append, tag)
+            engine.post(7, order.append, tag)
         engine.run()
         assert order == [0, 1, 2, 3, 4]
 
     def test_now_advances_to_event_time(self):
         engine = Engine()
         seen = []
-        engine.schedule(42, lambda: seen.append(engine.now))
+        engine.post(42, lambda: seen.append(engine.now))
         engine.run()
         assert seen == [42]
 
     def test_schedule_zero_delay_runs_at_current_time(self):
         engine = Engine()
         seen = []
-        engine.schedule(5, lambda: engine.schedule(0, lambda: seen.append(engine.now)))
+        engine.post(5, lambda: engine.post(0, lambda: seen.append(engine.now)))
         engine.run()
         assert seen == [5]
 
     def test_negative_delay_rejected(self):
         engine = Engine()
         with pytest.raises(SimulationError):
-            engine.schedule(-1, lambda: None)
+            engine.post(-1, lambda: None)
 
     def test_schedule_at_in_past_rejected(self):
         engine = Engine()
-        engine.schedule(10, lambda: None)
+        engine.post(10, lambda: None)
         engine.run()
         assert engine.now == 10
         with pytest.raises(SimulationError):
-            engine.schedule_at(5, lambda: None)
+            engine.post_at(5, lambda: None)
 
     def test_callbacks_receive_args(self):
         engine = Engine()
         result = []
-        engine.schedule(1, lambda a, b: result.append(a + b), 2, 3)
+        engine.post(1, lambda a, b: result.append(a + b), 2, 3)
         engine.run()
         assert result == [5]
 
@@ -69,17 +69,17 @@ class TestIntegralDelays:
     def test_fractional_delay_rejected(self):
         engine = Engine()
         with pytest.raises(SimulationError, match="non-integral delay"):
-            engine.schedule(0.5, lambda: None)  # repro: noqa[SIM001]
+            engine.post(0.5, lambda: None)  # repro: noqa[SIM001]
 
     def test_fractional_when_rejected(self):
         engine = Engine()
         with pytest.raises(SimulationError, match="non-integral when"):
-            engine.schedule_at(10.25, lambda: None)  # repro: noqa[SIM001]
+            engine.post_at(10.25, lambda: None)  # repro: noqa[SIM001]
 
     def test_integral_float_accepted(self):
         engine = Engine()
         seen = []
-        engine.schedule(3.0, lambda: seen.append(engine.now))  # repro: noqa[SIM001]
+        engine.post(3.0, lambda: seen.append(engine.now))  # repro: noqa[SIM001]
         engine.run()
         assert seen == [3]
 
@@ -88,80 +88,24 @@ class TestIntegralDelays:
 
         engine = Engine()
         seen = []
-        engine.schedule(np.int64(4), lambda: seen.append(engine.now))
+        engine.post(np.int64(4), lambda: seen.append(engine.now))
         engine.run()
         assert seen == [4]
 
     def test_fractional_never_truncates_to_reordering(self):
         """The historic failure: int(0.5) -> 0 reordered events."""
         engine = Engine()
-        engine.schedule(1, lambda: None)
+        engine.post(1, lambda: None)
         with pytest.raises(SimulationError):
-            engine.schedule(0.5, lambda: None)  # repro: noqa[SIM001]
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        engine = Engine()
-        fired = []
-        event = engine.schedule(10, fired.append, "x")
-        event.cancel()
-        engine.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        engine = Engine()
-        event = engine.schedule(10, lambda: None)
-        event.cancel()
-        event.cancel()
-        engine.run()
-
-    def test_cancel_one_of_many(self):
-        engine = Engine()
-        fired = []
-        keep = engine.schedule(10, fired.append, "keep")
-        drop = engine.schedule(10, fired.append, "drop")
-        drop.cancel()
-        engine.run()
-        assert fired == ["keep"]
-        assert not keep.cancelled
-
-    def test_cancelled_event_at_queue_head_is_skipped(self):
-        """Lazy deletion: the dead head is discarded, later events fire."""
-        engine = Engine()
-        fired = []
-        head = engine.schedule(5, fired.append, "head")
-        engine.schedule(10, fired.append, "tail")
-        head.cancel()
-        engine.run_until(20)
-        assert fired == ["tail"]
-        assert engine.now == 20
-
-    def test_pending_events_counts_cancelled_until_popped(self):
-        """Lazy deletion leaves dead events in the queue; pending_events
-        reflects the raw queue length, not the live-event count."""
-        engine = Engine()
-        live = engine.schedule(5, lambda: None)
-        dead = engine.schedule(10, lambda: None)
-        dead.cancel()
-        assert engine.pending_events == 2
-        engine.run()
-        assert engine.pending_events == 0
-        assert dead.cancelled and not live.cancelled
-
-    def test_run_dispatch_count_excludes_cancelled(self):
-        engine = Engine()
-        engine.schedule(1, lambda: None)
-        engine.schedule(2, lambda: None).cancel()
-        assert engine.run() == 1
+            engine.post(0.5, lambda: None)  # repro: noqa[SIM001]
 
 
 class TestRunUntil:
     def test_run_until_stops_at_deadline(self):
         engine = Engine()
         fired = []
-        engine.schedule(10, fired.append, "early")
-        engine.schedule(100, fired.append, "late")
+        engine.post(10, fired.append, "early")
+        engine.post(100, fired.append, "late")
         engine.run_until(50)
         assert fired == ["early"]
         assert engine.now == 50
@@ -176,7 +120,7 @@ class TestRunUntil:
     def test_event_exactly_at_deadline_fires(self):
         engine = Engine()
         fired = []
-        engine.schedule(50, fired.append, True)
+        engine.post(50, fired.append, True)
         engine.run_until(50)
         assert fired == [True]
 
@@ -185,8 +129,8 @@ class TestRunUntil:
         end exactly at the deadline so callers can chain run_until calls."""
         engine = Engine()
         fired = []
-        engine.schedule(3, fired.append, "a")
-        engine.schedule(7, fired.append, "b")
+        engine.post(3, fired.append, "a")
+        engine.post(7, fired.append, "b")
         engine.run_until(1_000)
         assert fired == ["a", "b"]
         assert engine.now == 1_000
@@ -197,18 +141,31 @@ class TestRun:
     def test_returns_dispatch_count(self):
         engine = Engine()
         for _ in range(7):
-            engine.schedule(1, lambda: None)
+            engine.post(1, lambda: None)
         assert engine.run() == 7
 
-    def test_max_events_guard(self):
+    def test_leaves_clock_at_last_dispatched_cycle(self):
         engine = Engine()
+        engine.post(10, lambda: None)
+        engine.post(5_000, lambda: None)  # beyond the wheel window
+        assert engine.run() == 2
+        assert engine.now == 5_000
+        assert engine.pending_events == 0
 
-        def reschedule():
-            engine.schedule(1, reschedule)
+    def test_late_phase_entry_is_the_last_dispatched(self):
+        engine = Engine()
+        order = []
+        engine.post(7, order.append, "ordinary")
+        engine.post_late_at(9, order.append, "late")
+        assert engine.run() == 2
+        assert order == ["ordinary", "late"]
+        assert engine.now == 9
 
-        engine.schedule(0, reschedule)
-        with pytest.raises(SimulationError, match="max_events"):
-            engine.run(max_events=100)
+    def test_empty_queue_leaves_clock_alone(self):
+        engine = Engine()
+        engine.run_until(40)
+        assert engine.run() == 0
+        assert engine.now == 40
 
 
 class TestRng:
@@ -285,63 +242,44 @@ def test_property_events_dispatch_in_nondecreasing_time(delays):
     engine = Engine()
     seen = []
     for delay in delays:
-        engine.schedule(delay, lambda: seen.append(engine.now))
+        engine.post(delay, lambda: seen.append(engine.now))
     engine.run()
     assert seen == sorted(seen)
     assert len(seen) == len(delays)
 
 
-class TestLiveEventCounter:
-    def test_live_excludes_cancelled_pending_includes_them(self):
-        engine = Engine()
-        keep = engine.schedule(5, lambda: None)
-        drop = engine.schedule(10, lambda: None)
-        assert engine.live_events == 2
-        drop.cancel()
-        assert engine.live_events == 1
-        assert engine.pending_events == 2  # lazy deletion: still in heap
-        engine.run()
-        assert engine.live_events == 0
-        assert not keep.cancelled
-
-    def test_cancel_after_dispatch_does_not_double_count(self):
-        engine = Engine()
-        event = engine.schedule(1, lambda: None)
-        engine.run()
-        assert engine.live_events == 0
-        event.cancel()  # firing already settled the counter
-        assert engine.live_events == 0
-
-    def test_posts_count_as_live_until_dispatched(self):
+class TestPendingEvents:
+    def test_posts_count_as_pending_until_dispatched(self):
         engine = Engine()
         engine.post(3, lambda: None)
         engine.post_at(7, lambda: None)
-        assert engine.live_events == 2
+        assert engine.pending_events == 2
         engine.run_until(5)
-        assert engine.live_events == 1
+        assert engine.pending_events == 1
         engine.run_until(10)
-        assert engine.live_events == 0
+        assert engine.pending_events == 0
 
 
 class TestPost:
-    """Fire-and-forget entries must order exactly like Event entries."""
+    """Chained and late entries must order exactly like plain posts."""
 
-    def test_post_interleaves_with_schedule_by_insertion_order(self):
+    def test_post_interleaves_with_chains_by_insertion_order(self):
         engine = Engine()
         order = []
-        engine.schedule(5, order.append, "event-a")
-        engine.post(5, order.append, "post-b")
-        engine.schedule(5, order.append, "event-c")
-        engine.post_at(5, order.append, "post-d")
+        engine.post(5, order.append, "post-a")
+        engine.post_chain_at(5, order.append, ("chain-b",), 2, order.append, ("link-b",))
+        engine.post_at(5, order.append, "post-c")
+        engine.post(7, order.append, "post-d")
         engine.run()
-        assert order == ["event-a", "post-b", "event-c", "post-d"]
+        # the link is inserted when chain-b returns: after post-d
+        assert order == ["post-a", "chain-b", "post-c", "post-d", "link-b"]
 
     def test_post_counts_in_dispatch_totals(self):
         engine = Engine()
         engine.post(1, lambda: None)
-        engine.schedule(2, lambda: None)
-        assert engine.run() == 2
-        assert engine.dispatched == 2
+        engine.post_chain_at(2, lambda: None, (), 1, lambda: None, ())
+        assert engine.run() == 3
+        assert engine.dispatched == 3
 
     def test_post_rejects_negative_delay_and_past_timestamps(self):
         engine = Engine()
@@ -356,14 +294,13 @@ class TestPost:
         with pytest.raises(SimulationError):
             engine.post(0.5, lambda: None)  # repro: noqa[SIM001]
 
-    def test_post_survives_run_max_events_repush(self):
-        """A bare post entry hitting the max_events guard is re-queued."""
+    def test_overflow_entry_keeps_its_place_after_an_idle_run_until(self):
+        """An idle ``run_until`` slides the window over an overflow entry;
+        a later post for the same cycle must still dispatch after it."""
         engine = Engine()
-        fired = []
-        engine.post(1, fired.append, "first")
-        engine.post(2, fired.append, "second")
-        with pytest.raises(SimulationError):
-            engine.run(max_events=1)
-        assert fired == ["first"]
-        engine.run()
-        assert fired == ["first", "second"]
+        order = []
+        engine.post(5_000, order.append, "first")  # overflow heap
+        engine.run_until(2_000)  # wheel empty: nothing dispatches
+        engine.post_at(5_000, order.append, "second")
+        engine.run_until(6_000)
+        assert order == ["first", "second"]

@@ -31,8 +31,8 @@ class TestEventClock:
         engine = Engine()
         engine.sanitizer = SimSanitizer()
         fired = []
-        engine.schedule(3, fired.append, "a")
-        engine.schedule(1, fired.append, "b")
+        engine.post(3, fired.append, "a")
+        engine.post(1, fired.append, "b")
         engine.run()
         assert fired == ["b", "a"]
         assert engine.sanitizer.checks > 0

@@ -3,12 +3,10 @@
 The engine's contract is exact ``(when, seq)`` dispatch order — the
 timing wheel is an implementation detail that must be observationally
 identical to the straightforward binary-heap scheduler it replaced.
-This test drives random interleavings of ``schedule``/``post``/
-``post_at``/``post_chain_at``/``cancel``/``run_until`` through the real
-:class:`~repro.sim.engine.Engine` and through a ~40-line heapq reference,
-and requires identical dispatch logs, clocks, and live-event counts
-(including the cancel-after-dispatch edge, which must not decrement the
-counter twice).
+This test drives random interleavings of ``post``/``post_at``/
+``post_chain_at``/``run_until``/``run`` through the real
+:class:`~repro.sim.engine.Engine` and through a ~30-line heapq reference,
+and requires identical dispatch logs, clocks, and pending-event counts.
 
 Delays deliberately straddle the wheel horizon (4096 cycles) so entries
 take both the direct-bucket path and the overflow-heap path.
@@ -22,44 +20,21 @@ from hypothesis import strategies as st
 from repro.sim.engine import _WHEEL_SIZE, Engine
 
 
-class _RefEvent:
-    """Cancellable handle mirroring ``repro.sim.engine.Event``."""
-
-    __slots__ = ("engine", "cancelled", "fired")
-
-    def __init__(self, engine: "ReferenceEngine") -> None:
-        self.engine = engine
-        self.cancelled = False
-        self.fired = False
-
-    def cancel(self) -> None:
-        if not self.cancelled and not self.fired:
-            self.cancelled = True
-            self.engine._live -= 1
-
-
 class ReferenceEngine:
-    """Minimal (when, seq) binary-heap scheduler with lazy cancellation."""
+    """Minimal (when, seq) binary-heap scheduler."""
 
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = 0
-        self._live = 0
         self.now = 0
 
     @property
-    def live_events(self) -> int:
-        return self._live
+    def pending_events(self) -> int:
+        return len(self._heap)
 
     def _push(self, when: int, item: tuple) -> None:
         heapq.heappush(self._heap, (when, self._seq, item))
         self._seq += 1
-        self._live += 1
-
-    def schedule(self, delay: int, callback, *args) -> _RefEvent:
-        event = _RefEvent(self)
-        self._push(self.now + delay, (event, callback, args))
-        return event
 
     def post(self, delay: int, callback, *args) -> None:
         self._push(self.now + delay, (None, callback, args))
@@ -81,21 +56,20 @@ class ReferenceEngine:
             self.now = when
             if item[0] == "chain":
                 _, callback, args, link_delay, link_callback, link_args = item
-                self._live -= 1
                 callback(*args)
                 # continuation enqueued right after the first hop returns,
                 # exactly like a post() made from inside the callback
                 self._push(when + link_delay, (None, link_callback, link_args))
             else:
-                event, callback, args = item
-                if event is not None:
-                    if event.cancelled:
-                        continue
-                    event.fired = True
-                self._live -= 1
+                _, callback, args = item
                 callback(*args)
         if self.now < deadline:
             self.now = deadline
+
+    def run(self) -> None:
+        # one timestamp at a time, so the clock ends at the last dispatch
+        while self._heap:
+            self.run_until(self._heap[0][0])
 
 
 class Driver:
@@ -104,7 +78,6 @@ class Driver:
     def __init__(self, host) -> None:
         self.host = host
         self.log: list[tuple[int, int]] = []
-        self.events: list = []
 
     def _fire(self, tag: int, spawn_delay: int) -> None:
         self.log.append((tag, self.host.now))
@@ -115,10 +88,7 @@ class Driver:
 
     def apply(self, op: tuple) -> None:
         kind = op[0]
-        if kind == "schedule":
-            _, delay, tag, spawn = op
-            self.events.append(self.host.schedule(delay, self._fire, tag, spawn))
-        elif kind == "post":
+        if kind == "post":
             _, delay, tag, spawn = op
             self.host.post(delay, self._fire, tag, spawn)
         elif kind == "post_at":
@@ -134,13 +104,10 @@ class Driver:
                 self._fire,
                 (tag + 200_000, 0),
             )
-        elif kind == "cancel":
-            if self.events:
-                # may target an already-fired or already-cancelled event:
-                # both must be no-ops on the live counter
-                self.events[op[1] % len(self.events)].cancel()
         elif kind == "run":
             self.host.run_until(self.host.now + op[1])
+        elif kind == "drain":
+            self.host.run()
         else:  # pragma: no cover - defense against strategy drift
             raise AssertionError(f"unknown op {op!r}")
 
@@ -151,12 +118,6 @@ _SPAN = int(_WHEEL_SIZE * 2.5)
 _TAGS = st.integers(min_value=0, max_value=999)
 _SPAWN = st.sampled_from((0, 0, 0, 1, 3))
 _OPS = st.one_of(
-    st.tuples(
-        st.just("schedule"),
-        st.integers(min_value=0, max_value=_SPAN),
-        _TAGS,
-        _SPAWN,
-    ),
     st.tuples(
         st.just("post"),
         st.integers(min_value=0, max_value=_SPAN),
@@ -175,8 +136,8 @@ _OPS = st.one_of(
         st.integers(min_value=1, max_value=64),
         _TAGS,
     ),
-    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=255)),
     st.tuples(st.just("run"), st.integers(min_value=0, max_value=_SPAN)),
+    st.tuples(st.just("drain")),
 )
 
 
@@ -188,27 +149,13 @@ def test_wheel_matches_reference_heap(ops):
     for op in ops:
         wheel.apply(op)
         reference.apply(op)
-        assert wheel.host.live_events == reference.host.live_events
+        assert wheel.host.pending_events == reference.host.pending_events
+        assert wheel.host.now == reference.host.now
     # drain everything still queued so every insertion is order-checked
     final = max(wheel.host.now + 4 * _SPAN, 8 * _SPAN)
     wheel.host.run_until(final)
     reference.host.run_until(final)
     assert wheel.log == reference.log
     assert wheel.host.now == reference.host.now
-    assert wheel.host.live_events == reference.host.live_events
+    assert wheel.host.pending_events == reference.host.pending_events
 
-
-def test_cancel_after_dispatch_is_settled_once():
-    """Firing settles the counter; a late cancel must not touch it."""
-    wheel = Engine()
-    reference = ReferenceEngine()
-    fired = []
-    wheel_event = wheel.schedule(3, fired.append, "wheel")
-    ref_event = reference.schedule(3, fired.append, "ref")
-    wheel.run_until(10)
-    reference.run_until(10)
-    assert fired == ["wheel", "ref"]
-    assert wheel.live_events == reference.live_events == 0
-    wheel_event.cancel()
-    ref_event.cancel()
-    assert wheel.live_events == reference.live_events == 0

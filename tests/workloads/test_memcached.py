@@ -15,7 +15,7 @@ def drive(workload, latency=100):
         core_id=0,
         qos_id=0,
         workload=workload,
-        access_fn=lambda core, access, done: engine.schedule(latency, done),
+        access_fn=lambda core, access, done: engine.post(latency, done),
         on_instructions=lambda qos, count: None,
     )
     core.start()
@@ -68,7 +68,7 @@ class TestTransactions:
             core_id=0,
             qos_id=0,
             workload=workload,
-            access_fn=lambda core, access, done: engine.schedule(100, done),
+            access_fn=lambda core, access, done: engine.post(100, done),
             on_instructions=lambda qos, count: None,
         )
         core.start()
